@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .dynamics import TellEvent, saturate, step
-from .langs import distinguishing_word, enumerate_words
+from .langs import count_words, distinguishing_word, word_at
 from .oracle import compare_symbolic
-from .sentences import Sentence, format_sentence
+from .sentences import Sentence, format_sentence, other_agent
 from .states import (
     KnowledgeState,
     ModelKind,
@@ -28,8 +28,8 @@ from .states import (
 
 FACT_POOL = ("a", "b", "c")
 
-# message suffixes sampled for random tells stay shallow; depth is capped
-# so candidate lists remain small while still exercising cross-references
+# depth of the message suffixes of random tells: shallow messages already
+# exercise cross-references, and the seeded reports depend on this value
 SAMPLE_DEPTH = 3
 
 
@@ -115,19 +115,20 @@ def check_language_equivalence_props(max_facts: int = 3) -> CheckReport:
 def _sample_tell(state_a: KnowledgeState, state_b: KnowledgeState,
                  facts: Sequence[str], rng: random.Random,
                  depth: int = SAMPLE_DEPTH) -> TellEvent | None:
-    """A uniformly random truthful tell with message depth <= depth."""
-    candidates = []
-    for state in (state_a, state_b):
-        receiver = 2 if state.agent == 1 else 1
-        for fact in facts:
-            for word in sorted(enumerate_words(state.langs[fact], depth),
-                               key=lambda w: (len(w), w)):
-                candidates.append(
-                    TellEvent(state.agent, receiver, Sentence(fact, word))
-                )
-    if not candidates:
+    """A uniformly random truthful tell with message depth <= depth: one
+    rng.randrange over the candidates ranked by sender, fact, then (length,
+    word), which draws exactly as rng.choice over that ranked list would."""
+    blocks = [(state, fact, count_words(state.langs[fact], depth))
+              for state in (state_a, state_b) for fact in facts]
+    total = sum(n for _, _, n in blocks)
+    if not total:
         return None
-    return rng.choice(candidates)
+    index = rng.randrange(total)
+    for state, fact, n in blocks:
+        if index < n:
+            message = Sentence(fact, word_at(state.langs[fact], depth, index))
+            return TellEvent(state.agent, other_agent(state.agent), message)
+        index -= n
 
 
 def check_ck_dynamics(traces: int = 100, max_len: int = 10,

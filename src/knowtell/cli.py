@@ -12,7 +12,7 @@ import json
 import sys
 from typing import Sequence
 
-from .checks import CheckConfig, CheckReport, run_all_checks
+from .checks import FACT_POOL, CheckConfig, CheckReport, run_all_checks
 from .dynamics import (
     SaturationResult,
     TellError,
@@ -302,6 +302,18 @@ def _cmd_repl(args) -> int:
             print(f"error: {exc}")
 
 
+def _int_in(low: int, high: int | None = None):
+    """argparse type: an int >= low, and <= high when given."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low or (high is not None and value > high):
+            wanted = f">= {low}" if high is None else f"in {low}..{high}"
+            raise argparse.ArgumentTypeError(f"must be {wanted}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse reports bad text as "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="knowtell",
@@ -313,9 +325,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser(
         "check", help="run every verification check and report pass/fail"
     )
-    p_check.add_argument("--max-facts", type=int, default=3, metavar="N")
-    p_check.add_argument("--depth", type=int, default=5, metavar="K")
-    p_check.add_argument("--traces", type=int, default=100, metavar="N")
+    p_check.add_argument("--max-facts", type=_int_in(1, len(FACT_POOL)),
+                         default=3, metavar="N")
+    p_check.add_argument("--depth", type=_int_in(0), default=5, metavar="K")
+    p_check.add_argument("--traces", type=_int_in(1), default=100, metavar="N")
     p_check.add_argument("--seed", type=int, default=42, metavar="S")
     p_check.add_argument("--format", choices=("json", "text"), default="text")
     p_check.add_argument(
@@ -351,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="compare the symbolic limit against the brute-force closure",
     )
     p_cmp.add_argument("scenario")
-    p_cmp.add_argument("--depth", type=int, default=5, metavar="K")
+    p_cmp.add_argument("--depth", type=_int_in(0), default=5, metavar="K")
     p_cmp.set_defaults(func=_cmd_oracle_compare)
 
     p_repl = sub.add_parser("repl", help="interactive tell-by-tell shell")

@@ -53,9 +53,10 @@ class Lang:
         return self._hash
 
     def __repr__(self) -> str:
-        sample = sorted(enumerate_words(self, 3), key=lambda w: (len(w), w))
-        shown = ",".join("e" if not w else "".join(map(str, w)) for w in sample[:6])
-        more = ",..." if len(sample) > 6 or not _is_finite_up_to(self, 3) else ""
+        n = count_words(self, 3)
+        sample = (word_at(self, 3, i) for i in range(min(n, 6)))
+        shown = ",".join("e" if not w else "".join(map(str, w)) for w in sample)
+        more = ",..." if n > 6 or count_words(self, 6) > n else ""
         return f"Lang{{{shown}{more}}}"
 
 
@@ -196,6 +197,44 @@ def enumerate_words(lang: Lang, max_len: int) -> frozenset[Word]:
     return frozenset(out)
 
 
+@lru_cache(maxsize=None)
+def _path_counts(lang: Lang, max_len: int) -> tuple[tuple[int, ...], ...]:
+    # counts[r][q]: accepted words of length exactly r read from state q
+    if max_len < 0:
+        raise ValueError("max_len must be >= 0")
+    row = tuple(map(int, lang.dfa.accepting))
+    counts = [row]
+    for _ in range(max_len):
+        row = tuple(row[s] + row[t] for s, t in lang.dfa.delta)
+        counts.append(row)
+    return tuple(counts)
+
+
+def count_words(lang: Lang, max_len: int) -> int:
+    """How many members have length <= max_len, without listing them."""
+    return sum(row[0] for row in _path_counts(lang, max_len))
+
+
+def word_at(lang: Lang, max_len: int, index: int) -> Word:
+    """The index-th member of length <= max_len in (length, word) order,
+    letter 1 before 2; IndexError outside 0..count_words - 1."""
+    counts = _path_counts(lang, max_len)
+    if not 0 <= index < count_words(lang, max_len):
+        raise IndexError("word index out of range")
+    length = 0
+    while index >= counts[length][0]:
+        index -= counts[length][0]
+        length += 1
+    word, state = (), 0
+    for remaining in reversed(range(length)):
+        # the words that go on with letter 1 take the lower ranks
+        ones = counts[remaining][lang.dfa.delta[state][0]]
+        letter, index = (1, index) if index < ones else (2, index - ones)
+        word += (letter,)
+        state = lang.dfa.delta[state][letter - 1]
+    return word
+
+
 def solve_arden(base: Lang, loop: Lang) -> Lang:
     """Least solution X = base . loop* of the equation X = base + X . loop.
 
@@ -234,11 +273,6 @@ def distinguishing_word(a: Lang, b: Lang) -> Word | None:
 def to_dot(lang: Lang, name: str = "lang") -> str:
     """Canonical acceptor in GraphViz DOT form."""
     return dfa_to_dot(lang.dfa, name)
-
-
-def _is_finite_up_to(lang: Lang, max_len: int) -> bool:
-    # repr helper: does the language have members longer than max_len?
-    return len(enumerate_words(lang, max_len + 3)) == len(enumerate_words(lang, max_len))
 
 
 EMPTY = from_ast(regexes.EMPTY)

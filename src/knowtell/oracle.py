@@ -1,4 +1,4 @@
-"""Depth-bounded brute-force closure over explicit sentence sets.
+"""Depth-bounded brute-force closure over explicit (fact, suffix) sets.
 
 Deliberately free of the acceptor machinery: agreement between this module
 and the symbolic engine is evidence, not circularity. The bounded result is
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .dynamics import saturate
 from .langs import enumerate_words
-from .sentences import Sentence, Word, append_knows, format_sentence
+from .sentences import Sentence, Word, format_sentence
 from .states import ModelKind, Scenario, validate_scenario
 
 
@@ -22,34 +22,14 @@ class BoundedKnowledge:
 
     agent: int
     bound: int
-    sentences: frozenset[Sentence]
+    pairs: frozenset[tuple[str, Word]]  # (fact, suffix)
+
+    @property
+    def sentences(self) -> frozenset[Sentence]:
+        return frozenset(Sentence(fact, word) for fact, word in self.pairs)
 
     def suffixes(self, fact: str) -> frozenset[Word]:
-        return frozenset(s.suffix for s in self.sentences if s.fact == fact)
-
-
-def _own_close(sentences: set[Sentence], agent: int, bound: int) -> set[Sentence]:
-    out = set(sentences)
-    stack = list(sentences)
-    while stack:
-        sentence = stack.pop()
-        if sentence.depth < bound:
-            extended = append_knows(sentence, agent)
-            if extended not in out:
-                out.add(extended)
-                stack.append(extended)
-    return out
-
-
-def _received(from_sender: set[Sentence], sender: int, bound: int,
-              understanding: bool) -> set[Sentence]:
-    gained = set()
-    for message in from_sender:
-        if message.depth < bound:
-            gained.add(append_knows(message, sender))
-        if understanding:
-            gained.add(message)
-    return gained
+        return frozenset(word for f, word in self.pairs if f == fact)
 
 
 def bounded_closure(scenario: Scenario, bound: int, *,
@@ -57,9 +37,10 @@ def bounded_closure(scenario: Scenario, bound: int, *,
                     ) -> tuple[BoundedKnowledge, BoundedKnowledge]:
     """Exhaustively apply the rules, keeping suffixes at or below the bound.
 
-    Rounds alternate receiving everything the other side currently holds
-    with closing under the own mark; the universe of bounded sentences is
-    finite and rounds only grow, so this terminates at the least fixpoint.
+    Once agent j holds f.w, j knows it knows it and can tell it: j holds
+    f.w.j, the other agent gains f.w.j, and with understanding also the
+    bare f.w. The universe of bounded sentences is finite and the held sets
+    only grow, so the worklist empties at the least fixpoint.
     """
     validate_scenario(scenario)
     if bound < 0:
@@ -67,21 +48,23 @@ def bounded_closure(scenario: Scenario, bound: int, *,
     understanding = (
         scenario.model is ModelKind.UNDERSTANDING and not disable_understanding
     )
-    side_a = _own_close({Sentence(f) for f in scenario.side_a}, 1, bound)
-    side_b = _own_close({Sentence(f) for f in scenario.side_b}, 2, bound)
-    while True:
-        next_a = _own_close(
-            side_a | _received(side_b, 2, bound, understanding), 1, bound
-        )
-        next_b = _own_close(
-            side_b | _received(side_a, 1, bound, understanding), 2, bound
-        )
-        if next_a == side_a and next_b == side_b:
-            break
-        side_a, side_b = next_a, next_b
+    held: dict[int, set[tuple[str, Word]]] = {1: set(), 2: set()}
+    todo = [(1, (f, ())) for f in scenario.side_a]
+    todo += [(2, (f, ())) for f in scenario.side_b]
+    while todo:
+        agent, pair = todo.pop()
+        if pair in held[agent]:
+            continue
+        held[agent].add(pair)
+        fact, word = pair
+        if len(word) < bound:
+            told = (fact, word + (agent,))
+            todo += [(agent, told), (3 - agent, told)]
+        if understanding:
+            todo.append((3 - agent, pair))
     return (
-        BoundedKnowledge(1, bound, frozenset(side_a)),
-        BoundedKnowledge(2, bound, frozenset(side_b)),
+        BoundedKnowledge(1, bound, frozenset(held[1])),
+        BoundedKnowledge(2, bound, frozenset(held[2])),
     )
 
 

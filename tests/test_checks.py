@@ -1,9 +1,13 @@
 import dataclasses
+import random
 
 import pytest
 
 from knowtell.checks import (
+    FACT_POOL,
+    STABILITY_SCENARIOS,
     CheckConfig,
+    _sample_tell,
     check_ck_dynamics,
     check_fixpoint_stability,
     check_language_equivalence_props,
@@ -13,7 +17,10 @@ from knowtell.checks import (
     scenario_grid,
     subsets_of,
 )
-from knowtell.states import ModelKind
+from knowtell.dynamics import TellEvent, saturate, step
+from knowtell.langs import enumerate_words
+from knowtell.sentences import Sentence
+from knowtell.states import ModelKind, Scenario, initial_state
 
 
 def test_subsets_order_is_stable():
@@ -118,3 +125,53 @@ def test_violations_replay():
     failing = next(r for r in reports if r.status == "fail")
     rerun = check_success_theorems(2, disable_understanding=True)
     assert failing.violations == rerun.violations
+
+
+def reference_sample_tell(state_a, state_b, facts, rng, depth):
+    """The sampler written the direct way: list every candidate, choose one."""
+    candidates = []
+    for state in (state_a, state_b):
+        receiver = 2 if state.agent == 1 else 1
+        for fact in facts:
+            for word in sorted(enumerate_words(state.langs[fact], depth),
+                               key=lambda w: (len(w), w)):
+                candidates.append(
+                    TellEvent(state.agent, receiver, Sentence(fact, word))
+                )
+    if not candidates:
+        return None
+    return rng.choice(candidates)
+
+
+def assert_samplers_agree(state_a, state_b, facts, seed, depth, draws):
+    fast, reference = random.Random(seed), random.Random(seed)
+    for _ in range(draws):
+        event = _sample_tell(state_a, state_b, facts, fast, depth)
+        assert event == reference_sample_tell(state_a, state_b, facts,
+                                              reference, depth)
+        assert fast.getstate() == reference.getstate()
+
+
+def test_sampler_matches_reference_along_traces():
+    facts = FACT_POOL[:2]
+    rng = random.Random(42)
+    for model in (ModelKind.COMMUNICATION, ModelKind.UNDERSTANDING):
+        for side_a in subsets_of(facts):
+            for side_b in subsets_of(facts):
+                scenario = Scenario.make(facts, side_a, side_b, model)
+                state_a = initial_state(1, scenario)
+                state_b = initial_state(2, scenario)
+                for _ in range(8):
+                    seed = rng.randrange(2 ** 32)
+                    assert_samplers_agree(state_a, state_b, facts, seed, 3, 5)
+                    event = _sample_tell(state_a, state_b, facts, rng, 3)
+                    if event is None:
+                        break
+                    state_a, state_b = step(state_a, state_b, event, model)
+
+
+def test_sampler_matches_reference_on_saturated_states():
+    for facts, side_a, side_b, model in STABILITY_SCENARIOS:
+        result = saturate(Scenario.make(facts, side_a, side_b, model))
+        assert_samplers_agree(result.state_a, result.state_b, facts,
+                              len(facts), 5, 20)

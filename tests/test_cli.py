@@ -212,6 +212,22 @@ def test_usage_errors():
     assert main(["--help"]) == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--max-facts", "5"],
+    ["check", "--max-facts", "0"],
+    ["check", "--depth", "-2"],
+    ["check", "--traces", "0"],
+    ["check", "--traces", "-3"],
+    ["oracle-compare", "scenario.json", "--depth", "-1"],
+], ids=["max-facts-5", "max-facts-0", "depth-neg", "traces-0", "traces-neg",
+        "oracle-depth-neg"])
+def test_out_of_range_options_are_usage_errors(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "usage: knowtell" in err and argv[-2] in err
+    assert "Traceback" not in err
+
+
 def test_missing_file(capsys):
     assert main(["saturate", "/no/such/file.json"]) == 3
     assert "cannot read" in capsys.readouterr().err

@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from knowtell import langs
+from knowtell.dynamics import _solve_fact
 from knowtell.langs import (
     ALL_WORDS,
     EMPTY,
@@ -14,6 +15,7 @@ from knowtell.langs import (
     concat,
     cone,
     contains,
+    count_words,
     distinguishing_word,
     enumerate_words,
     equals,
@@ -26,6 +28,7 @@ from knowtell.langs import (
     subset,
     to_dot,
     union,
+    word_at,
 )
 from tests.test_regexes import regex_asts
 
@@ -191,3 +194,34 @@ def test_arden_solution_satisfies_its_equation(base, loop):
 def test_from_word_singleton(word):
     lang = from_word(word)
     assert enumerate_words(lang, len(word) + 2) == {word}
+
+
+def assert_enumeration_ops_agree(lang):
+    for d in range(7):
+        ordered = sorted(enumerate_words(lang, d), key=lambda w: (len(w), w))
+        n = count_words(lang, d)
+        assert n == len(ordered)
+        assert [word_at(lang, d, i) for i in range(n)] == ordered
+        with pytest.raises(IndexError):
+            word_at(lang, d, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(langs_st)
+def test_count_and_unrank_match_enumeration(a):
+    assert_enumeration_ops_agree(a)
+
+
+def test_count_and_unrank_on_fixed_languages():
+    saturated = [
+        lang
+        for in_a, in_b, understanding in itertools.product((False, True), repeat=3)
+        for lang in _solve_fact(in_a, in_b, understanding)[:2]
+    ]
+    for lang in [EMPTY, ALL_WORDS, *saturated]:
+        assert_enumeration_ops_agree(lang)
+    assert count_words(ALL_WORDS, 6) == 2 ** 7 - 1
+    with pytest.raises(ValueError):
+        count_words(ALL_WORDS, -1)
+    with pytest.raises(IndexError):
+        word_at(ALL_WORDS, 2, -1)

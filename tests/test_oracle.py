@@ -1,6 +1,6 @@
 import pytest
 
-from knowtell import oracle
+from knowtell import automata, langs, oracle
 from knowtell.dynamics import saturate
 from knowtell.oracle import BoundedKnowledge, bounded_closure, compare_symbolic
 from knowtell.sentences import Sentence, append_knows, parse_sentence
@@ -123,3 +123,24 @@ def test_mutation_threads_through_both_engines(worked_example):
 def test_bad_bound_rejected(worked_example):
     with pytest.raises(ValueError):
         bounded_closure(worked_example, -1)
+
+
+def test_closure_uses_no_automata(worked_example, monkeypatch):
+    understanding = Scenario.make(
+        worked_example.facts, worked_example.side_a, worked_example.side_b,
+        "understanding",
+    )
+    expected = [bounded_closure(s, 4) for s in (worked_example, understanding)]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle touched the symbolic engine")
+
+    for module, name in ((langs, "union"), (langs, "concat"), (langs, "star"),
+                         (automata, "product_dfa"), (automata, "determinize"),
+                         (oracle, "enumerate_words"), (oracle, "saturate")):
+        monkeypatch.setattr(module, name, forbidden)
+    for scenario, (side_a, side_b) in zip((worked_example, understanding),
+                                          expected):
+        again_a, again_b = bounded_closure(scenario, 4)
+        assert again_a.sentences == side_a.sentences
+        assert again_b.sentences == side_b.sentences
