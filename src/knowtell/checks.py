@@ -137,8 +137,10 @@ def check_ck_dynamics(traces: int = 100, max_len: int = 10,
     knowledge stays empty at every prefix and never shrinks, in both models.
 
     Covers every subset pair over the two-fact set; reproducible from the
-    seed alone.
+    seed alone. Zero traces is refused: that check would pass unexercised.
     """
+    if traces < 1:
+        raise ValueError(f"traces must be >= 1, got {traces}")
     started = time.perf_counter()
     rng = random.Random(seed)
     violations: list[Violation] = []

@@ -23,7 +23,7 @@ from .dynamics import (
     step,
 )
 from .langs import to_dot
-from .oracle import compare_symbolic
+from .oracle import MAX_ORACLE_DEPTH, compare_symbolic
 from .regexes import RegexError
 from .sentences import Sentence, SentenceError, parse_sentence
 from .states import (
@@ -327,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_check.add_argument("--max-facts", type=_int_in(1, len(FACT_POOL)),
                          default=3, metavar="N")
-    p_check.add_argument("--depth", type=_int_in(0), default=5, metavar="K")
+    p_check.add_argument("--depth", type=_int_in(0, MAX_ORACLE_DEPTH), default=5,
+                         metavar="K")
     p_check.add_argument("--traces", type=_int_in(1), default=100, metavar="N")
     p_check.add_argument("--seed", type=int, default=42, metavar="S")
     p_check.add_argument("--format", choices=("json", "text"), default="text")
@@ -364,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="compare the symbolic limit against the brute-force closure",
     )
     p_cmp.add_argument("scenario")
-    p_cmp.add_argument("--depth", type=_int_in(0), default=5, metavar="K")
+    p_cmp.add_argument("--depth", type=_int_in(0, MAX_ORACLE_DEPTH), default=5,
+                       metavar="K")
     p_cmp.set_defaults(func=_cmd_oracle_compare)
 
     p_repl = sub.add_parser("repl", help="interactive tell-by-tell shell")
@@ -382,13 +384,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except (ScenarioError, SentenceError, RegexError, UnknownFactError,
-            TellError, TraceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except OSError as exc:
+    except (InputError, ScenarioError, SentenceError, RegexError,
+            UnknownFactError, TellError, TraceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

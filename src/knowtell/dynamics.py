@@ -25,22 +25,16 @@ from .langs import (
     Lang,
     concat,
     from_ast,
-    from_word,
     option,
+    prefixed,
     solve_arden,
     star,
+    subset,
     union,
 )
 from .regexes import Lit, alt, cat, opt, plus, regex_to_text
 from .sentences import Sentence, Word, check_agent
-from .states import (
-    KnowledgeState,
-    ModelKind,
-    Scenario,
-    initial_state,
-    knows,
-    validate_scenario,
-)
+from .states import KnowledgeState, ModelKind, Scenario, initial_state, knows
 
 
 class TellError(ValueError):
@@ -78,19 +72,27 @@ def _understands(model: ModelKind, disable_understanding: bool) -> bool:
 
 
 @lru_cache(maxsize=None)
+def _tell_tail(sender: int, receiver: int, understanding: bool) -> Lang:
+    # after the told suffix: the sender's mark (optional under understanding)
+    # and then any run of the receiver's own mark
+    sender_mark = option(LETTER[sender]) if understanding else LETTER[sender]
+    return concat(sender_mark, star(LETTER[receiver]))
+
+
+@lru_cache(maxsize=None)
 def _tell_gain(suffix: Word, sender: int, receiver: int, understanding: bool) -> Lang:
     # what the receiver's language for the told fact gains from one tell
-    own_tail = star(LETTER[receiver])
-    gained = concat(from_word(suffix), concat(LETTER[sender], own_tail))
-    if understanding:
-        gained = union(gained, concat(from_word(suffix), own_tail))
-    return gained
+    return prefixed(suffix, _tell_tail(sender, receiver, understanding))
 
 
 def step(state_a: KnowledgeState, state_b: KnowledgeState, event: TellEvent,
          model: ModelKind, *, disable_understanding: bool = False
          ) -> tuple[KnowledgeState, KnowledgeState]:
-    """Apply one tell; the sender must actually know the message."""
+    """Apply one tell; the sender must actually know the message.
+
+    A tell whose whole gain the receiver already knows returns both
+    states unchanged: the very same objects.
+    """
     sender_state = state_a if event.sender == 1 else state_b
     receiver_state = state_b if event.sender == 1 else state_a
     if not knows(sender_state, event.message):
@@ -101,9 +103,12 @@ def step(state_a: KnowledgeState, state_b: KnowledgeState, event: TellEvent,
         event.receiver,
         _understands(model, disable_understanding),
     )
-    new_langs = dict(receiver_state.langs)
     fact = event.message.fact
-    new_langs[fact] = union(new_langs[fact], gain)
+    current = receiver_state.lang_for(fact)
+    if subset(gain, current):
+        return state_a, state_b
+    new_langs = dict(receiver_state.langs)
+    new_langs[fact] = union(current, gain)
     new_receiver = KnowledgeState(receiver_state.agent, new_langs)
     if event.sender == 1:
         return state_a, new_receiver
@@ -114,7 +119,6 @@ def run_trace(scenario: Scenario, events: Sequence[TellEvent], *,
               disable_understanding: bool = False
               ) -> tuple[KnowledgeState, KnowledgeState]:
     """Fold step over the events, failing fast with the offending index."""
-    validate_scenario(scenario)
     state_a = initial_state(1, scenario)
     state_b = initial_state(2, scenario)
     for index, event in enumerate(events):
@@ -174,8 +178,8 @@ def _solve_fact(in_a: bool, in_b: bool, understanding: bool):
                          from_ast(loop_b))
 
     # substitution check against the defining fixpoint equations
-    tail_a = concat(option(LETTER[2]) if understanding else LETTER[2], star(LETTER[1]))
-    tail_b = concat(option(LETTER[1]) if understanding else LETTER[1], star(LETTER[2]))
+    tail_a = _tell_tail(2, 1, understanding)
+    tail_b = _tell_tail(1, 2, understanding)
     if lang_a != union(from_ast(base_a), concat(lang_b, tail_a)) or lang_b != union(
         from_ast(base_b), concat(lang_a, tail_b)
     ):
@@ -189,7 +193,6 @@ def _solve_fact(in_a: bool, in_b: bool, understanding: bool):
 def saturate(scenario: Scenario, *, disable_understanding: bool = False
              ) -> SaturationResult:
     """The least fixpoint of exchanging every knowable sentence both ways."""
-    validate_scenario(scenario)
     understanding = _understands(scenario.model, disable_understanding)
     langs_a: dict[str, Lang] = {}
     langs_b: dict[str, Lang] = {}

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from collections import deque
 from functools import lru_cache
-from typing import Sequence
 
 from . import regexes
-from .automata import Dfa, Nfa, compile_regex, determinize, dfa_to_dot, product_dfa
+from .automata import (Dfa, Nfa, canonical_dfa, compile_regex, determinize,
+                       dfa_to_dot, product_dfa)
 from .regexes import Regex, parse_regex
 from .sentences import Word
 
@@ -60,14 +60,10 @@ class Lang:
         return f"Lang{{{shown}{more}}}"
 
 
-def _make(dfa: Dfa) -> Lang:
-    return Lang(dfa)
-
-
 @lru_cache(maxsize=None)
 def from_ast(r: Regex) -> Lang:
     """Compile a regex AST to its language."""
-    return _make(compile_regex(r))
+    return Lang(compile_regex(r))
 
 
 def from_regex(text: str) -> Lang:
@@ -75,10 +71,28 @@ def from_regex(text: str) -> Lang:
     return from_ast(parse_regex(text))
 
 
+def prefixed(word: Word, lang: Lang) -> Lang:
+    """word . lang, built from lang's acceptor: a path reads the word into its
+    start state, and every letter off the path goes to one dead state."""
+    n = len(word)
+    if not n:
+        return lang
+    dead = n + len(lang.dfa.delta)
+    path = []
+    for i, letter in enumerate(word):
+        if letter not in (1, 2):
+            raise ValueError(f"letter must be 1 or 2, got {letter!r}")
+        path.append((i + 1, dead) if letter == 1 else (dead, i + 1))
+    body = tuple((n + s, n + t) for s, t in lang.dfa.delta)
+    delta = (*path, *body, (dead, dead))
+    accepting = (False,) * n + lang.dfa.accepting + (False,)
+    return Lang(canonical_dfa(Dfa(delta, accepting)))
+
+
 @lru_cache(maxsize=None)
 def from_word(word: Word) -> Lang:
     """The one-word language {word}."""
-    return from_ast(regexes.word_regex(word))
+    return prefixed(word, EPSILON)
 
 
 EMPTY: Lang
@@ -97,7 +111,7 @@ def union(a: Lang, b: Lang) -> Lang:
 
 @lru_cache(maxsize=None)
 def _union(a: Lang, b: Lang) -> Lang:
-    return _make(product_dfa(a.dfa, b.dfa, lambda x, y: x or y))
+    return Lang(product_dfa(a.dfa, b.dfa, lambda x, y: x or y))
 
 
 @lru_cache(maxsize=None)
@@ -109,7 +123,7 @@ def concat(a: Lang, b: Lang) -> Lang:
         if acc:
             nfa.add_eps(offset_a + state, offset_b)
     finals = {offset_b + s for s, acc in enumerate(b.dfa.accepting) if acc}
-    return _make(determinize(nfa, [offset_a], finals))
+    return Lang(determinize(nfa, [offset_a], finals))
 
 
 @lru_cache(maxsize=None)
@@ -121,7 +135,7 @@ def star(a: Lang) -> Lang:
     for state, acc in enumerate(a.dfa.accepting):
         if acc:
             nfa.add_eps(offset + state, hub)
-    return _make(determinize(nfa, [hub], {hub}))
+    return Lang(determinize(nfa, [hub], {hub}))
 
 
 def plus(a: Lang) -> Lang:
@@ -132,51 +146,41 @@ def option(a: Lang) -> Lang:
     return union(a, EPSILON)
 
 
-_KINDS = {
-    "union": (2, lambda ops: union(*ops)),
-    "concat": (2, lambda ops: concat(*ops)),
-    "star": (1, lambda ops: star(*ops)),
-    "plus": (1, lambda ops: plus(*ops)),
-    "option": (1, lambda ops: option(*ops)),
-}
-
-
-def compose(kind: str, operands: Sequence[Lang]) -> Lang:
-    """Apply a closure operator by name; arity is checked."""
-    if kind not in _KINDS:
-        raise ValueError(f"unknown operator {kind!r}")
-    arity, apply = _KINDS[kind]
-    if len(operands) != arity:
-        raise ValueError(f"{kind} takes {arity} operand(s), got {len(operands)}")
-    return apply(operands)
-
-
-def contains(lang: Lang, word: Word) -> bool:
-    return lang.contains(word)
-
-
-def equals(a: Lang, b: Lang) -> bool:
-    """Exact language equality via the shared canonical acceptors."""
-    return a == b
-
-
 @lru_cache(maxsize=None)
 def subset(a: Lang, b: Lang) -> bool:
-    """Exact inclusion: no reachable product state accepts in a but not b."""
+    """Exact inclusion: no reachable product state accepts in a but not b.
+    Pairs whose a-side is dead (rejecting, looping on both letters) are not
+    expanded, so the walk stays within the live part of a."""
     if a is b:
         return True
+    delta_a, accepting_a = a.dfa.delta, a.dfa.accepting
+    delta_b, accepting_b = b.dfa.delta, b.dfa.accepting
     seen = {(0, 0)}
     stack = [(0, 0)]
     while stack:
         s, t = stack.pop()
-        if a.dfa.accepting[s] and not b.dfa.accepting[t]:
-            return False
+        if accepting_a[s]:
+            if not accepting_b[t]:
+                return False
+        elif delta_a[s] == (s, s):
+            continue
         for letter_index in (0, 1):
-            pair = (a.dfa.delta[s][letter_index], b.dfa.delta[t][letter_index])
+            pair = (delta_a[s][letter_index], delta_b[t][letter_index])
             if pair not in seen:
                 seen.add(pair)
                 stack.append(pair)
     return True
+
+
+def contains_cone(lang: Lang, word: Word) -> bool:
+    """Is every extension of the word in lang? In a minimal complete acceptor:
+    does the word lead to the universal state (accepting, looping on 1 and 2)?"""
+    state = 0
+    for letter in word:
+        if letter not in (1, 2):
+            raise ValueError(f"letter must be 1 or 2, got {letter!r}")
+        state = lang.dfa.delta[state][letter - 1]
+    return lang.dfa.accepting[state] and lang.dfa.delta[state] == (state, state)
 
 
 @lru_cache(maxsize=None)
@@ -249,7 +253,7 @@ def solve_arden(base: Lang, loop: Lang) -> Lang:
 @lru_cache(maxsize=None)
 def cone(word: Word) -> Lang:
     """All extensions of a word: {word} followed by anything."""
-    return concat(from_word(word), ALL_WORDS)
+    return prefixed(word, ALL_WORDS)
 
 
 def distinguishing_word(a: Lang, b: Lang) -> Word | None:

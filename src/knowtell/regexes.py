@@ -136,17 +136,9 @@ def opt(r: Regex) -> Regex:
             return Opt(r)
 
 
-def alt_all(items: Iterable[Regex]) -> Regex:
-    return reduce(alt, items, EMPTY)
-
-
-def cat_all(items: Iterable[Regex]) -> Regex:
-    return reduce(cat, items, EPS)
-
-
 def word_regex(word: Iterable[int]) -> Regex:
     """The single-word language, e.g. (2, 1) -> ``21``."""
-    return cat_all(Lit(letter) for letter in word)
+    return reduce(cat, (Lit(letter) for letter in word), EPS)
 
 
 _ATOM_START = frozenset("120e(")

@@ -12,7 +12,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .langs import EMPTY, LETTER, Lang, concat, cone, star, subset
+from .langs import EMPTY, LETTER, Lang, concat, contains_cone, star, subset
 from .sentences import Sentence, check_agent, check_fact
 
 
@@ -130,10 +130,9 @@ def common_knowledge(state_a: KnowledgeState, state_b: KnowledgeState,
     A bare fact is common knowledge exactly when its whole cone, every
     suffix word at all, sits inside both agents' languages for that fact.
     """
-    extension_cone = cone(sentence.suffix)
-    return subset(extension_cone, state_a.lang_for(sentence.fact)) and subset(
-        extension_cone, state_b.lang_for(sentence.fact)
-    )
+    fact, suffix = sentence.fact, sentence.suffix
+    return (contains_cone(state_a.lang_for(fact), suffix)
+            and contains_cone(state_b.lang_for(fact), suffix))
 
 
 def language_equal(state_a: KnowledgeState, state_b: KnowledgeState) -> bool:

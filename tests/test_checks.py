@@ -60,6 +60,12 @@ def test_ck_dynamics_passes_and_is_seeded():
     )
 
 
+@pytest.mark.parametrize("traces", [0, -1])
+def test_ck_dynamics_refuses_to_run_no_trace(traces):
+    with pytest.raises(ValueError, match="traces must be >= 1"):
+        check_ck_dynamics(traces=traces)
+
+
 def test_success_theorems_pass_with_gap_notes():
     report = check_success_theorems(3)
     assert report.status == "pass"

@@ -9,6 +9,7 @@ import pytest
 from knowtell import cli
 from knowtell.checks import CheckReport, Violation
 from knowtell.cli import emit_report, load_scenario, load_trace, main
+from knowtell.oracle import MAX_ORACLE_DEPTH
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -219,13 +220,24 @@ def test_usage_errors():
     ["check", "--traces", "0"],
     ["check", "--traces", "-3"],
     ["oracle-compare", "scenario.json", "--depth", "-1"],
+    ["check", "--depth", str(MAX_ORACLE_DEPTH + 1)],
+    ["oracle-compare", "scenario.json", "--depth", str(MAX_ORACLE_DEPTH + 1)],
+    ["oracle-compare", "scenario.json", "--depth", "1000000"],
 ], ids=["max-facts-5", "max-facts-0", "depth-neg", "traces-0", "traces-neg",
-        "oracle-depth-neg"])
+        "oracle-depth-neg", "depth-over-limit", "oracle-depth-over-limit",
+        "oracle-depth-huge"])
 def test_out_of_range_options_are_usage_errors(capsys, argv):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "usage: knowtell" in err and argv[-2] in err
     assert "Traceback" not in err
+
+
+def test_depth_limit_is_accepted():
+    parser = cli.build_parser()
+    for argv in (["check", "--depth", str(MAX_ORACLE_DEPTH)],
+                 ["oracle-compare", "scenario.json", "--depth", str(MAX_ORACLE_DEPTH)]):
+        assert parser.parse_args(argv).depth == MAX_ORACLE_DEPTH
 
 
 def test_missing_file(capsys):

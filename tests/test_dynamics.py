@@ -2,10 +2,12 @@ import random
 
 import pytest
 
+from knowtell.checks import _sample_tell
 from knowtell.dynamics import (
     TellError,
     TellEvent,
     TraceError,
+    _tell_gain,
     run_trace,
     saturate,
     step,
@@ -98,6 +100,47 @@ def test_step_leaves_sender_untouched(worked_example):
     )
     assert after_a is state_a
     assert after_b is not state_b
+
+
+def test_repeated_tell_leaves_states_unchanged(worked_example):
+    state_a = initial_state(1, worked_example)
+    state_b = initial_state(2, worked_example)
+    event = TellEvent(1, 2, parse_sentence("a"))
+    state_a, state_b = step(state_a, state_b, event, worked_example.model)
+    again_a, again_b = step(state_a, state_b, event, worked_example.model)
+    assert again_a is state_a and again_b is state_b
+    assert all(again_b.langs[f] is state_b.langs[f] for f in worked_example.facts)
+
+
+@pytest.mark.parametrize("model", list(ModelKind))
+def test_step_is_union_with_gain_or_unchanged(model):
+    rng = random.Random(17)
+    no_ops = grows = 0
+    for side_a, side_b in ((["a"], ["b"]), (["a", "b"], ["a"]), ([], ["b"])):
+        scenario = Scenario.make(["a", "b"], side_a, side_b, model)
+        state_a = initial_state(1, scenario)
+        state_b = initial_state(2, scenario)
+        for _ in range(120):
+            event = _sample_tell(state_a, state_b, scenario.facts, rng, 3)
+            if event is None:
+                break
+            receiver = state_b if event.sender == 1 else state_a
+            old = receiver.langs[event.message.fact]
+            gain = _tell_gain(event.message.suffix, event.sender,
+                              event.receiver, model is ModelKind.UNDERSTANDING)
+            after_a, after_b = step(state_a, state_b, event, model)
+            new_receiver = after_b if event.sender == 1 else after_a
+            if subset(gain, old):
+                no_ops += 1
+                assert after_a is state_a and after_b is state_b
+            else:
+                grows += 1
+                new = new_receiver.langs[event.message.fact]
+                assert new is union(old, gain) and new is not old
+                assert all(new_receiver.langs[f] is receiver.langs[f]
+                           for f in scenario.facts if f != event.message.fact)
+            state_a, state_b = after_a, after_b
+    assert no_ops and grows
 
 
 def test_run_trace(worked_example):

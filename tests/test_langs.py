@@ -11,18 +11,18 @@ from knowtell.langs import (
     EMPTY,
     EPSILON,
     LETTER,
-    compose,
     concat,
     cone,
-    contains,
+    contains_cone,
     count_words,
     distinguishing_word,
     enumerate_words,
-    equals,
+    from_ast,
     from_regex,
     from_word,
     option,
     plus,
+    prefixed,
     solve_arden,
     star,
     subset,
@@ -30,6 +30,7 @@ from knowtell.langs import (
     union,
     word_at,
 )
+from knowtell.regexes import word_regex
 from tests.test_regexes import regex_asts
 
 
@@ -39,15 +40,15 @@ def all_words(max_len):
 
 
 def test_membership_examples():
-    assert contains(from_regex("1(1|2)*"), (1, 2, 1))
-    assert not contains(from_regex("1(1|2)*"), ())
-    assert contains(from_regex("2+1*"), (2, 2, 1))
+    assert from_regex("1(1|2)*").contains((1, 2, 1))
+    assert not from_regex("1(1|2)*").contains(())
+    assert from_regex("2+1*").contains((2, 2, 1))
 
 
 def test_from_regex_examples():
     ones = from_regex("1*")
-    assert all(contains(ones, (1,) * n) for n in range(5))
-    assert not contains(ones, (2,))
+    assert all(ones.contains((1,) * n) for n in range(5))
+    assert not ones.contains((2,))
     assert from_regex("0") == EMPTY
     assert enumerate_words(ALL_WORDS, 2) == frozenset(all_words(2))
 
@@ -57,13 +58,13 @@ def test_own_language_identity():
     solved = from_regex("1*(12+1*)*")
     direct = from_regex("e|1(1|2)*")
     for word in all_words(8):
-        assert contains(solved, word) == contains(direct, word), word
-    assert equals(solved, direct)
+        assert solved.contains(word) == direct.contains(word), word
+    assert solved == direct
 
 
 def test_equality_examples():
-    assert equals(from_regex("(1|2)*"), from_regex("e|(1|2)(1|2)*"))
-    assert not equals(from_regex("1*"), from_regex("1+"))
+    assert from_regex("(1|2)*") == from_regex("e|(1|2)(1|2)*")
+    assert from_regex("1*") != from_regex("1+")
 
 
 def test_interning_makes_equal_languages_identical():
@@ -71,23 +72,14 @@ def test_interning_makes_equal_languages_identical():
     assert from_regex("1*") is not from_regex("1+")
 
 
-def test_compose_operations():
-    assert compose("union", [from_regex("1*"), EMPTY]) == from_regex("1*")
-    two_then_ones = compose("concat", [from_regex("2+"), from_regex("1*")])
-    assert contains(two_then_ones, (2, 1))
-    assert not contains(two_then_ones, (1, 2))
-    assert compose("star", [EMPTY]) == EPSILON
-    assert compose("plus", [LETTER[1]]) == from_regex("11*")
-    assert compose("option", [LETTER[2]]) == from_regex("e|2")
-
-
-def test_compose_arity_and_kind_errors():
-    with pytest.raises(ValueError):
-        compose("union", [EMPTY])
-    with pytest.raises(ValueError):
-        compose("star", [EMPTY, EMPTY])
-    with pytest.raises(ValueError):
-        compose("complement", [EMPTY])
+def test_operator_examples():
+    assert union(from_regex("1*"), EMPTY) == from_regex("1*")
+    two_then_ones = concat(from_regex("2+"), from_regex("1*"))
+    assert two_then_ones.contains((2, 1))
+    assert not two_then_ones.contains((1, 2))
+    assert star(EMPTY) == EPSILON
+    assert plus(LETTER[1]) == from_regex("11*")
+    assert option(LETTER[2]) == from_regex("e|2")
 
 
 def test_subset_examples():
@@ -113,8 +105,30 @@ def test_solve_arden_examples():
 def test_cone_examples():
     assert cone(()) == ALL_WORDS
     two_cone = cone((2,))
-    assert contains(two_cone, (2,)) and contains(two_cone, (2, 1, 1))
-    assert not contains(two_cone, (1, 2))
+    assert two_cone.contains((2,)) and two_cone.contains((2, 1, 1))
+    assert not two_cone.contains((1, 2))
+
+
+def test_contains_cone_examples():
+    assert contains_cone(ALL_WORDS, ()) and contains_cone(ALL_WORDS, (2, 1))
+    one_then_any = from_regex("1(1|2)*")
+    assert contains_cone(one_then_any, (1,))
+    assert contains_cone(one_then_any, (1, 2, 2))
+    assert not contains_cone(one_then_any, ())
+    assert not contains_cone(from_regex("1*"), (1, 1))
+    assert not contains_cone(EMPTY, ())
+    with pytest.raises(ValueError):
+        contains_cone(ALL_WORDS, (3,))
+
+
+def test_prefixed_examples():
+    assert prefixed((), LETTER[1]) is LETTER[1]
+    assert prefixed((2, 1), EPSILON) is from_regex("21")
+    assert prefixed((1, 1), from_regex("2*")) is from_regex("112*")
+    assert prefixed((1,), EMPTY) is EMPTY
+    assert from_word(()) is EPSILON
+    with pytest.raises(ValueError):
+        prefixed((0,), ALL_WORDS)
 
 
 def test_to_dot_shape():
@@ -162,7 +176,7 @@ def test_equality_agrees_with_enumeration(a, b):
     else:
         word = distinguishing_word(a, b)
         assert word is not None
-        assert contains(a, word) != contains(b, word)
+        assert a.contains(word) != b.contains(word)
 
 
 @settings(max_examples=60, deadline=None)
@@ -177,7 +191,7 @@ def test_subset_is_an_exact_order(a, b):
 @settings(max_examples=40, deadline=None)
 @given(langs_st, st.integers(min_value=0, max_value=6))
 def test_enumeration_matches_membership(a, k):
-    expected = {w for w in all_words(k) if contains(a, w)}
+    expected = {w for w in all_words(k) if a.contains(w)}
     assert enumerate_words(a, k) == expected
 
 
@@ -194,6 +208,57 @@ def test_arden_solution_satisfies_its_equation(base, loop):
 def test_from_word_singleton(word):
     lang = from_word(word)
     assert enumerate_words(lang, len(word) + 2) == {word}
+
+
+words_st = st.lists(st.sampled_from((1, 2)), max_size=6).map(tuple)
+
+
+def regex_route(word, lang):
+    # word . lang through the regex compiler and the NFA concatenation
+    return concat(from_ast(word_regex(word)), lang)
+
+
+@settings(max_examples=60, deadline=None)
+@given(langs_st, words_st)
+def test_prefixed_matches_regex_concatenation(lang, word):
+    assert prefixed(word, lang) is regex_route(word, lang)
+    assert from_word(word) is from_ast(word_regex(word))
+    assert cone(word) is regex_route(word, ALL_WORDS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(langs_st, words_st, st.integers(min_value=0, max_value=6))
+def test_contains_cone_matches_cone_inclusion(lang, word, cut):
+    assert contains_cone(lang, word) == subset(regex_route(word, ALL_WORDS), lang)
+    # a language that does hold the cone of a prefix holds the word's cone
+    widened = union(lang, regex_route(word[:cut], ALL_WORDS))
+    assert contains_cone(widened, word)
+    assert subset(regex_route(word, ALL_WORDS), widened)
+
+
+def subset_unpruned(a, b):
+    # reference inclusion: the plain product walk, every reachable pair expanded
+    seen = {(0, 0)}
+    stack = [(0, 0)]
+    while stack:
+        s, t = stack.pop()
+        if a.dfa.accepting[s] and not b.dfa.accepting[t]:
+            return False
+        for letter_index in (0, 1):
+            pair = (a.dfa.delta[s][letter_index], b.dfa.delta[t][letter_index])
+            if pair not in seen:
+                seen.add(pair)
+                stack.append(pair)
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(langs_st, langs_st, words_st)
+def test_pruned_subset_matches_unpruned_walk(a, b, word):
+    gain = prefixed(word, a)  # shaped like a tell's gain
+    for left, right in ((a, b), (b, a), (a, union(a, b)), (gain, b),
+                        (gain, union(b, gain)), (gain, union(b, a))):
+        assert subset(left, right) == subset_unpruned(left, right)
 
 
 def assert_enumeration_ops_agree(lang):

@@ -1,10 +1,13 @@
+import itertools
 import random
 
 import pytest
 
-from knowtell.dynamics import saturate
-from knowtell.langs import from_regex
+from knowtell.checks import _sample_tell, subsets_of
+from knowtell.dynamics import saturate, step
+from knowtell.langs import ALL_WORDS, concat, from_ast, from_regex, subset
 from knowtell.oracle import bounded_closure
+from knowtell.regexes import word_regex
 from knowtell.sentences import Sentence, parse_sentence
 from knowtell.states import (
     KnowledgeState,
@@ -118,6 +121,40 @@ def test_common_knowledge_understanding_limit():
         sentence = Sentence("a", extension)
         assert knows(result.state_a, sentence)
         assert knows(result.state_b, sentence)
+
+
+def ck_by_cone_inclusion(state_a, state_b, sentence):
+    # the definition: the cone of the suffix, compiled from a regex, lies
+    # inside both agents' languages for the fact
+    cone = concat(from_ast(word_regex(sentence.suffix)), ALL_WORDS)
+    return (subset(cone, state_a.langs[sentence.fact])
+            and subset(cone, state_b.langs[sentence.fact]))
+
+
+def test_common_knowledge_matches_cone_inclusion():
+    facts = ("a", "b")
+    words = [w for n in range(5) for w in itertools.product((1, 2), repeat=n)]
+    rng = random.Random(8)
+    answers = set()
+    for model in ModelKind:
+        for side_a, side_b in itertools.product(subsets_of(facts), repeat=2):
+            scenario = Scenario.make(facts, side_a, side_b, model)
+            result = saturate(scenario)
+            pairs = [(result.state_a, result.state_b)]
+            state_a, state_b = initial_state(1, scenario), initial_state(2, scenario)
+            for _ in range(6):
+                pairs.append((state_a, state_b))
+                event = _sample_tell(state_a, state_b, facts, rng, 3)
+                if event is None:
+                    break
+                state_a, state_b = step(state_a, state_b, event, model)
+            for (state_a, state_b), fact, word in itertools.product(
+                    pairs, facts, words):
+                sentence = Sentence(fact, word)
+                answer = common_knowledge(state_a, state_b, sentence)
+                assert answer == ck_by_cone_inclusion(state_a, state_b, sentence)
+                answers.add(answer)
+    assert answers == {True, False}
 
 
 def test_language_equal_cases(worked_example):
