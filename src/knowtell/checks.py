@@ -6,6 +6,7 @@ trace generation and always flows from an explicit seed.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import time
 from dataclasses import dataclass
@@ -75,6 +76,14 @@ def scenario_grid(max_facts: int, model: ModelKind) -> Iterator[Scenario]:
         for side_a in subsets_of(facts):
             for side_b in subsets_of(facts):
                 yield Scenario.make(facts, side_a, side_b, model)
+
+
+def _engine_scenario(scenario: Scenario, disable_understanding: bool) -> Scenario:
+    """What both engines run: the no-understanding self-test fixture solves
+    an understanding scenario under the communication rule."""
+    if disable_understanding:
+        return dataclasses.replace(scenario, model=ModelKind.COMMUNICATION)
+    return scenario
 
 
 def _inequality_witness(state_a: KnowledgeState, state_b: KnowledgeState,
@@ -201,7 +210,7 @@ def check_success_theorems(max_facts: int = 3, *,
         facts = FACT_POOL[:size]
         scenario = Scenario.make(facts, facts, facts, ModelKind.COMMUNICATION)
         count += 1
-        result = saturate(scenario, disable_understanding=disable_understanding)
+        result = saturate(scenario)
         if not language_equal(result.state_a, result.state_b):
             violations.append(Violation(
                 scenario.describe(),
@@ -212,7 +221,7 @@ def check_success_theorems(max_facts: int = 3, *,
 
     for scenario in scenario_grid(max_facts, ModelKind.UNDERSTANDING):
         count += 1
-        result = saturate(scenario, disable_understanding=disable_understanding)
+        result = saturate(_engine_scenario(scenario, disable_understanding))
         covered = scenario.side_a | scenario.side_b >= set(scenario.facts)
         if covered:
             if not language_equal(result.state_a, result.state_b):
@@ -273,16 +282,14 @@ def check_fixpoint_stability(tells: int = 50, seed: int = 2024, *,
     for facts, side_a, side_b, model in STABILITY_SCENARIOS:
         scenario = Scenario.make(facts, side_a, side_b, model)
         count += 1
-        result = saturate(scenario, disable_understanding=disable_understanding)
+        engine = _engine_scenario(scenario, disable_understanding)
+        result = saturate(engine)
         state_a, state_b = result.state_a, result.state_b
         for _ in range(tells):
             event = _sample_tell(state_a, state_b, facts, rng, depth=5)
             if event is None:
                 break
-            after_a, after_b = step(
-                state_a, state_b, event, scenario.model,
-                disable_understanding=disable_understanding,
-            )
+            after_a, after_b = step(state_a, state_b, event, engine.model)
             changed = [
                 f for f in facts
                 if after_a.langs[f] != state_a.langs[f]
@@ -308,7 +315,7 @@ def check_oracle_equivalence(max_facts: int = 3, depth: int = 5, *,
         for scenario in scenario_grid(max_facts, model):
             count += 1
             report = compare_symbolic(
-                scenario, depth, disable_understanding=disable_understanding
+                _engine_scenario(scenario, disable_understanding), depth
             )
             for mismatch in report.mismatches:
                 symbolic = ",".join(mismatch.only_symbolic) or "(none)"

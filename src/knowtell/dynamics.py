@@ -15,24 +15,22 @@ is returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
 from . import regexes
 from .langs import (
-    LETTER,
     Lang,
     concat,
     from_ast,
-    option,
     prefixed,
     solve_arden,
-    star,
     subset,
     union,
+    without_empty_word,
 )
-from .regexes import Lit, alt, cat, opt, plus, regex_to_text
+from .regexes import Lit, Regex, alt, cat, opt, regex_to_text
 from .sentences import Sentence, Word, check_agent
 from .states import KnowledgeState, ModelKind, Scenario, initial_state, knows
 
@@ -67,27 +65,21 @@ class TellEvent:
 Trace = tuple[TellEvent, ...]
 
 
-def _understands(model: ModelKind, disable_understanding: bool) -> bool:
-    return model is ModelKind.UNDERSTANDING and not disable_understanding
-
-
-@lru_cache(maxsize=None)
-def _tell_tail(sender: int, receiver: int, understanding: bool) -> Lang:
+def _tell_tail(sender: int, receiver: int, understanding: bool) -> Regex:
     # after the told suffix: the sender's mark (optional under understanding)
     # and then any run of the receiver's own mark
-    sender_mark = option(LETTER[sender]) if understanding else LETTER[sender]
-    return concat(sender_mark, star(LETTER[receiver]))
+    mark = Lit(sender)
+    return cat(opt(mark) if understanding else mark, regexes.star(Lit(receiver)))
 
 
 @lru_cache(maxsize=None)
 def _tell_gain(suffix: Word, sender: int, receiver: int, understanding: bool) -> Lang:
     # what the receiver's language for the told fact gains from one tell
-    return prefixed(suffix, _tell_tail(sender, receiver, understanding))
+    return prefixed(suffix, from_ast(_tell_tail(sender, receiver, understanding)))
 
 
 def step(state_a: KnowledgeState, state_b: KnowledgeState, event: TellEvent,
-         model: ModelKind, *, disable_understanding: bool = False
-         ) -> tuple[KnowledgeState, KnowledgeState]:
+         model: ModelKind) -> tuple[KnowledgeState, KnowledgeState]:
     """Apply one tell; the sender must actually know the message.
 
     A tell whose whole gain the receiver already knows returns both
@@ -101,7 +93,7 @@ def step(state_a: KnowledgeState, state_b: KnowledgeState, event: TellEvent,
         event.message.suffix,
         event.sender,
         event.receiver,
-        _understands(model, disable_understanding),
+        model is ModelKind.UNDERSTANDING,
     )
     fact = event.message.fact
     current = receiver_state.lang_for(fact)
@@ -115,18 +107,14 @@ def step(state_a: KnowledgeState, state_b: KnowledgeState, event: TellEvent,
     return new_receiver, state_b
 
 
-def run_trace(scenario: Scenario, events: Sequence[TellEvent], *,
-              disable_understanding: bool = False
+def run_trace(scenario: Scenario, events: Sequence[TellEvent]
               ) -> tuple[KnowledgeState, KnowledgeState]:
     """Fold step over the events, failing fast with the offending index."""
     state_a = initial_state(1, scenario)
     state_b = initial_state(2, scenario)
     for index, event in enumerate(events):
         try:
-            state_a, state_b = step(
-                state_a, state_b, event, scenario.model,
-                disable_understanding=disable_understanding,
-            )
+            state_a, state_b = step(state_a, state_b, event, scenario.model)
         except (TellError, ValueError) as exc:
             raise TraceError(index, str(exc)) from exc
     return state_a, state_b
@@ -138,62 +126,45 @@ class SaturationResult:
 
     state_a: KnowledgeState
     state_b: KnowledgeState
-    method: str = "closed-form"
-    regexes: dict[int, dict[str, str]] = field(default_factory=dict)
+    regexes: dict[int, dict[str, str]]
 
 
 @lru_cache(maxsize=None)
 def _solve_fact(in_a: bool, in_b: bool, understanding: bool):
     """Closed-form limit languages for one fact, given who starts with it.
 
-    Each side's equation is reduced by substituting the other side's and
-    applying the Arden solution; the loop coefficient collects one full
-    round trip and never contains the empty word. Both results are then
-    checked against the coupled defining equations, exactly.
+    Side x's language solves X_x = B_x + X_y.T_x: its start B_x (any run of
+    its own mark, if it starts with the fact) plus what the other side y
+    holds, followed by the tail T_x of a tell to x. Substituting X_y gives
+    X_x = (B_x + B_y.T_x) + X_x.(T_y.T_x), whose least solution is
+    start.loop* by the Arden rule once the empty word is taken out of the
+    loop, which leaves loop* as it is. Both results are then checked
+    against the coupled defining equations, exactly.
     """
-    lit1, lit2 = Lit(1), Lit(2)
-    base_a = regexes.star(lit1) if in_a else regexes.EMPTY
-    base_b = regexes.star(lit2) if in_b else regexes.EMPTY
-
-    if understanding:
-        relay_to_a = cat(opt(lit2), regexes.star(lit1))   # (e|2)1*
-        relay_to_b = cat(opt(lit1), regexes.star(lit2))   # (e|1)2*
-        # one round trip, empty word stripped: 2+1* | 12*1* and its mirror
-        loop_a = alt(cat(plus(lit2), regexes.star(lit1)),
-                     cat(lit1, cat(regexes.star(lit2), regexes.star(lit1))))
-        loop_b = alt(cat(plus(lit1), regexes.star(lit2)),
-                     cat(lit2, cat(regexes.star(lit1), regexes.star(lit2))))
-    else:
-        relay_to_a = cat(lit2, regexes.star(lit1))        # 21*
-        relay_to_b = cat(lit1, regexes.star(lit2))        # 12*
-        loop_a = cat(lit1, cat(plus(lit2), regexes.star(lit1)))   # 12+1*
-        loop_b = cat(lit2, cat(plus(lit1), regexes.star(lit2)))   # 21+2*
-
-    ast_a = cat(alt(base_a, cat(base_b, relay_to_a)), regexes.star(loop_a))
-    ast_b = cat(alt(base_b, cat(base_a, relay_to_b)), regexes.star(loop_b))
-
-    lang_a = solve_arden(from_ast(alt(base_a, cat(base_b, relay_to_a))),
-                         from_ast(loop_a))
-    lang_b = solve_arden(from_ast(alt(base_b, cat(base_a, relay_to_b))),
-                         from_ast(loop_b))
+    base = {1: regexes.star(Lit(1)) if in_a else regexes.EMPTY,
+            2: regexes.star(Lit(2)) if in_b else regexes.EMPTY}
+    tail = {x: _tell_tail(3 - x, x, understanding) for x in (1, 2)}
+    langs: dict[int, Lang] = {}
+    texts: dict[int, str] = {}
+    for x, y in ((1, 2), (2, 1)):
+        start = alt(base[x], cat(base[y], tail[x]))
+        loop = cat(tail[y], tail[x])
+        langs[x] = solve_arden(from_ast(start), without_empty_word(from_ast(loop)))
+        texts[x] = regex_to_text(cat(start, regexes.star(loop)))
 
     # substitution check against the defining fixpoint equations
-    tail_a = _tell_tail(2, 1, understanding)
-    tail_b = _tell_tail(1, 2, understanding)
-    if lang_a != union(from_ast(base_a), concat(lang_b, tail_a)) or lang_b != union(
-        from_ast(base_b), concat(lang_a, tail_b)
-    ):
-        raise RuntimeError(
-            "internal error: closed-form limit failed its defining equation"
-        )
+    for x, y in ((1, 2), (2, 1)):
+        if langs[x] != union(from_ast(base[x]), concat(langs[y], from_ast(tail[x]))):
+            raise RuntimeError(
+                "internal error: closed-form limit failed its defining equation"
+            )
 
-    return lang_a, lang_b, regex_to_text(ast_a), regex_to_text(ast_b)
+    return langs[1], langs[2], texts[1], texts[2]
 
 
-def saturate(scenario: Scenario, *, disable_understanding: bool = False
-             ) -> SaturationResult:
+def saturate(scenario: Scenario) -> SaturationResult:
     """The least fixpoint of exchanging every knowable sentence both ways."""
-    understanding = _understands(scenario.model, disable_understanding)
+    understanding = scenario.model is ModelKind.UNDERSTANDING
     langs_a: dict[str, Lang] = {}
     langs_b: dict[str, Lang] = {}
     texts_a: dict[str, str] = {}

@@ -114,6 +114,11 @@ def _union(a: Lang, b: Lang) -> Lang:
     return Lang(product_dfa(a.dfa, b.dfa, lambda x, y: x or y))
 
 
+def without_empty_word(a: Lang) -> Lang:
+    """a minus the empty word."""
+    return Lang(product_dfa(a.dfa, EPSILON.dfa, lambda x, y: x and not y))
+
+
 @lru_cache(maxsize=None)
 def concat(a: Lang, b: Lang) -> Lang:
     nfa = Nfa()

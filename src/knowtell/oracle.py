@@ -16,7 +16,7 @@ from .sentences import Sentence, Word, format_sentence
 from .states import ModelKind, Scenario
 
 # Closure and enumeration grow as 2^(depth+1); at depth 16 the worked
-# example already peaks near 110 MB, so the CLI refuses anything deeper.
+# example already peaks near 110 MB, so anything deeper is refused.
 MAX_ORACLE_DEPTH = 16
 
 
@@ -36,8 +36,7 @@ class BoundedKnowledge:
         return frozenset(word for f, word in self.pairs if f == fact)
 
 
-def bounded_closure(scenario: Scenario, bound: int, *,
-                    disable_understanding: bool = False
+def bounded_closure(scenario: Scenario, bound: int
                     ) -> tuple[BoundedKnowledge, BoundedKnowledge]:
     """Exhaustively apply the rules, keeping suffixes at or below the bound.
 
@@ -48,9 +47,9 @@ def bounded_closure(scenario: Scenario, bound: int, *,
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")
-    understanding = (
-        scenario.model is ModelKind.UNDERSTANDING and not disable_understanding
-    )
+    if bound > MAX_ORACLE_DEPTH:
+        raise ValueError(f"bound must be <= {MAX_ORACLE_DEPTH}, got {bound}")
+    understanding = scenario.model is ModelKind.UNDERSTANDING
     held: dict[int, set[tuple[str, Word]]] = {1: set(), 2: set()}
     todo = [(1, (f, ())) for f in scenario.side_a]
     todo += [(2, (f, ())) for f in scenario.side_b]
@@ -92,14 +91,11 @@ class OracleReport:
         return not self.mismatches
 
 
-def compare_symbolic(scenario: Scenario, depth: int, *,
-                     disable_understanding: bool = False) -> OracleReport:
+def compare_symbolic(scenario: Scenario, depth: int) -> OracleReport:
     """Enumerate each saturated language to the depth and compare it with
     the bounded closure, per agent per fact. Mismatches are report content."""
-    result = saturate(scenario, disable_understanding=disable_understanding)
-    closed = bounded_closure(
-        scenario, depth, disable_understanding=disable_understanding
-    )
+    closed = bounded_closure(scenario, depth)
+    result = saturate(scenario)
     mismatches = []
     for state, bounded in zip((result.state_a, result.state_b), closed):
         for fact in scenario.facts:

@@ -73,8 +73,8 @@ EMPTY = Empty()
 EPS = Eps()
 
 
-# Smart constructors: drop Empty/Eps units and nest to the right, so that
-# machine-built expressions print without dead subterms.
+# Smart constructors: drop Empty/Eps units, fold x*x into x+ and nest to the
+# right, so that machine-built expressions print without dead subterms.
 
 def alt(a: Regex, b: Regex) -> Regex:
     match (a, b):
@@ -98,6 +98,10 @@ def cat(a: Regex, b: Regex) -> Regex:
             return a
         case (Cat(a1, a2), _):
             return Cat(a1, cat(a2, b))
+        case (Star(x), _) if b == x:
+            return plus(x)
+        case (Star(x), Cat(y, rest)) if y == x:
+            return Cat(plus(x), rest)
         case _:
             return Cat(a, b)
 

@@ -31,7 +31,8 @@ class SentenceError(ValueError):
 
 
 def check_agent(agent: int) -> int:
-    if agent not in AGENTS:
+    # the type test keeps out True and 1.0, which compare equal to 1
+    if type(agent) is not int or agent not in AGENTS:
         raise SentenceError(f"agent id must be 1 or 2, got {agent!r}")
     return agent
 

@@ -196,6 +196,15 @@ def test_trace_untruthful_event(capsys, scenario_path, write_json):
     assert "event 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("agent", [True, 1.0, "1"])
+def test_trace_rejects_agent_ids_that_are_not_ints(capsys, scenario_path,
+                                                   write_json, agent):
+    trace_path = write_json([{"from": agent, "to": 2, "msg": "a"}])
+    assert main(["trace", scenario_path, trace_path]) == 3
+    err = capsys.readouterr().err
+    assert "1 or 2" in err and "Traceback" not in err
+
+
 def test_trace_bad_query(capsys, scenario_path, write_json):
     trace_path = write_json([])
     assert main(["trace", scenario_path, trace_path,

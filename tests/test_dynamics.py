@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from knowtell.checks import _sample_tell
+from knowtell.checks import _engine_scenario, _sample_tell
 from knowtell.dynamics import (
     TellError,
     TellEvent,
@@ -23,7 +23,7 @@ from knowtell.langs import (
     subset,
     union,
 )
-from knowtell.sentences import Sentence, parse_sentence
+from knowtell.sentences import Sentence, SentenceError, parse_sentence
 from knowtell.states import (
     ModelKind,
     Scenario,
@@ -39,6 +39,9 @@ def test_tell_event_validation():
     TellEvent(1, 2, Sentence("a"))
     with pytest.raises(TellError):
         TellEvent(1, 1, Sentence("a"))
+    for sender, receiver in ((True, 2), (1.0, 2), (1, 2.0)):
+        with pytest.raises(SentenceError):
+            TellEvent(sender, receiver, Sentence("a"))
 
 
 def test_step_gains_tagged_message(worked_example):
@@ -206,7 +209,6 @@ def test_permutable_trace_order_insensitive():
 
 def test_saturate_worked_example(worked_example):
     result = saturate(worked_example)
-    assert result.method == "closed-form"
     side1, side2 = result.state_a, result.state_b
     assert side1.langs["a"] == from_regex("e|1(1|2)*")
     assert side1.langs["a"] == from_regex("1*(12+1*)*")
@@ -307,15 +309,47 @@ def test_ck_stays_empty_along_finite_traces(worked_example):
 
 
 def test_disable_understanding_matches_communication(worked_example):
+    # the checks' self-test fixture runs an understanding scenario under the
+    # communication rule, in the closed form and tell by tell
     scenario = Scenario.make(
         worked_example.facts, worked_example.side_a, worked_example.side_b,
         "understanding",
     )
-    mutated = saturate(scenario, disable_understanding=True)
+    assert _engine_scenario(scenario, False) is scenario
+    engine = _engine_scenario(scenario, True)
+    assert engine == worked_example
+    mutated = saturate(engine)
     plain = saturate(worked_example)
     for fact in scenario.facts:
         assert mutated.state_a.langs[fact] == plain.state_a.langs[fact]
         assert mutated.state_b.langs[fact] == plain.state_b.langs[fact]
+    event = TellEvent(1, 2, parse_sentence("a"))
+    state_a, state_b = initial_state(1, scenario), initial_state(2, scenario)
+    _, told = step(state_a, state_b, event, engine.model)
+    assert not knows(told, parse_sentence("a"))
+    _, told = step(state_a, state_b, event, scenario.model)
+    assert knows(told, parse_sentence("a"))
+
+
+# --emit-regex prints these texts; each denotes exactly the solved language
+@pytest.mark.parametrize("in_a,in_b,model,text_a,text_b", [
+    (False, False, "communication", "0", "0"),
+    (True, False, "communication", "1*(12+1*)*", "1+2*(21+2*)*"),
+    (False, True, "communication", "2+1*(12+1*)*", "2*(21+2*)*"),
+    (True, True, "communication", "(1*|2+1*)(12+1*)*", "(2*|1+2*)(21+2*)*"),
+    (False, False, "understanding", "0", "0"),
+    (True, False, "understanding", "1*(1?2*2?1*)*", "1*1?2*(2?1*1?2*)*"),
+    (False, True, "understanding", "2*2?1*(1?2*2?1*)*", "2*(2?1*1?2*)*"),
+    (True, True, "understanding", "(1*|2*2?1*)(1?2*2?1*)*",
+     "(2*|1*1?2*)(2?1*1?2*)*"),
+])
+def test_solved_texts_are_pinned_and_exact(in_a, in_b, model, text_a, text_b):
+    scenario = Scenario.make(["a"], ["a"] if in_a else [], ["a"] if in_b else [],
+                             model)
+    result = saturate(scenario)
+    assert (result.regexes[1]["a"], result.regexes[2]["a"]) == (text_a, text_b)
+    assert from_regex(text_a) is result.state_a.langs["a"]
+    assert from_regex(text_b) is result.state_b.langs["a"]
 
 
 def test_simplified_per_fact_claim_differs_from_fixpoint(worked_example):

@@ -1,10 +1,16 @@
 import pytest
 
 from knowtell import automata, langs, oracle
+from knowtell.checks import _engine_scenario, check_oracle_equivalence
 from knowtell.dynamics import saturate
-from knowtell.oracle import BoundedKnowledge, bounded_closure, compare_symbolic
+from knowtell.oracle import (
+    MAX_ORACLE_DEPTH,
+    BoundedKnowledge,
+    bounded_closure,
+    compare_symbolic,
+)
 from knowtell.sentences import Sentence, append_knows, parse_sentence
-from knowtell.states import Scenario
+from knowtell.states import ModelKind, Scenario
 
 
 def texts(bounded: BoundedKnowledge) -> set[str]:
@@ -109,20 +115,39 @@ def test_compare_symbolic_reports_mismatches(worked_example, monkeypatch):
     assert mismatch.only_bounded == ()
 
 
-def test_mutation_threads_through_both_engines(worked_example):
+def test_mutation_threads_through_both_engines(worked_example, monkeypatch):
+    # the checks' self-test fixture hands both engines the communication rule
+    seen = []
+
+    def spy(name):
+        real = getattr(oracle, name)
+
+        def call(scenario, *args):
+            seen.append((name, scenario.model))
+            return real(scenario, *args)
+
+        return call
+
+    for name in ("saturate", "bounded_closure"):
+        monkeypatch.setattr(oracle, name, spy(name))
+    assert check_oracle_equivalence(2, 4, disable_understanding=True).status == "pass"
+    assert {name for name, _ in seen} == {"saturate", "bounded_closure"}
+    assert {model for _, model in seen} == {ModelKind.COMMUNICATION}
+
     scenario = Scenario.make(
         worked_example.facts, worked_example.side_a, worked_example.side_b,
         "understanding",
     )
-    report = compare_symbolic(scenario, 4, disable_understanding=True)
-    assert report.ok
-    side_a, _ = bounded_closure(scenario, 2, disable_understanding=True)
+    side_a, _ = bounded_closure(_engine_scenario(scenario, True), 2)
     assert "b" not in texts(side_a)
 
 
 def test_bad_bound_rejected(worked_example):
-    with pytest.raises(ValueError):
-        bounded_closure(worked_example, -1)
+    for bound in (-1, MAX_ORACLE_DEPTH + 1):
+        with pytest.raises(ValueError):
+            bounded_closure(worked_example, bound)
+        with pytest.raises(ValueError):
+            compare_symbolic(worked_example, bound)
 
 
 def test_closure_uses_no_automata(worked_example, monkeypatch):

@@ -71,6 +71,10 @@ def test_smart_constructors_drop_units():
     assert opt(EMPTY) == EPS
     assert word_regex(()) == EPS
     assert regex_to_text(word_regex((2, 1))) == "21"
+    assert cat(star(Lit(1)), Lit(1)) == Plus(Lit(1))
+    two_tail = cat(Lit(2), star(Lit(1)))
+    assert cat(star(Lit(2)), two_tail) == Cat(Plus(Lit(2)), Star(Lit(1)))
+    assert cat(star(Lit(1)), Lit(2)) == Cat(Star(Lit(1)), Lit(2))
 
 
 def test_render_minimal_parens():
@@ -91,6 +95,16 @@ regex_asts = st.recursive(
     ),
     max_leaves=8,
 )
+
+
+@given(regex_asts, regex_asts)
+def test_smart_constructors_preserve_language(a, b):
+    lang = langs.from_ast
+    assert lang(alt(a, b)) == lang(Alt(a, b))
+    assert lang(cat(a, b)) == lang(Cat(a, b))
+    assert lang(star(a)) == lang(Star(a))
+    assert lang(plus(a)) == lang(Plus(a))
+    assert lang(opt(a)) == lang(Opt(a))
 
 
 @given(regex_asts)

@@ -114,6 +114,9 @@ def test_bad_values_rejected_at_construction():
         Sentence("A")
     with pytest.raises(SentenceError):
         Sentence("a", (3,))
+    for not_an_int in (True, 1.0, "1"):
+        with pytest.raises(SentenceError):
+            Sentence("a", (not_an_int,))
     with pytest.raises(SentenceError):
         append_knows(Sentence("a"), 0)
 
