@@ -3,17 +3,17 @@
 Everything funnels into one canonical form: a complete deterministic
 acceptor, minimized and renumbered breadth-first with letter 1 before
 letter 2. Two acceptors recognize the same language exactly when their
-canonical forms are structurally identical, which is what makes language
-values safe to intern and compare by equality.
+canonical forms are structurally identical, which is what lets each
+language be interned as one object. Regexes compile through the same
+operations that combine acceptors (product, concatenation, star).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import or_
 
 from .regexes import Alt, Cat, Empty, Eps, Lit, Opt, Plus, Regex, Star
-
-LETTERS = (1, 2)
 
 
 @dataclass(frozen=True)
@@ -35,118 +35,83 @@ class Dfa:
         return self.accepting[state]
 
 
-class Nfa:
-    """Mutable epsilon-NFA used only while combining acceptors."""
+def concat_dfa(a: Dfa, b: Dfa) -> Dfa:
+    """Canonical acceptor of a's words followed by b's words: b's states
+    follow a's, and each accepting state of a also stands for b's start."""
+    n = len(a.delta)
+    delta = a.delta + tuple((n + s, n + t) for s, t in b.delta)
+    eps = {s: (n,) for s, acc in enumerate(a.accepting) if acc}
+    finals = {n + s for s, acc in enumerate(b.accepting) if acc}
+    return determinize(delta, eps, 0, finals)
 
-    def __init__(self):
-        self.eps: list[list[int]] = []
-        self.moves: list[dict[int, list[int]]] = []
 
-    def add_state(self) -> int:
-        self.eps.append([])
-        self.moves.append({})
-        return len(self.eps) - 1
+def star_dfa(a: Dfa) -> Dfa:
+    """Canonical acceptor of any run of a's words, the empty run included:
+    an accepting hub that moves like a's start, and that each accepting
+    state of a also stands for."""
+    hub = len(a.delta)
+    eps = {s: (hub,) for s, acc in enumerate(a.accepting) if acc}
+    return determinize(a.delta + (a.delta[0],), eps, hub, {hub})
 
-    def add_eps(self, src: int, dst: int) -> None:
-        self.eps[src].append(dst)
 
-    def add_move(self, src: int, letter: int, dst: int) -> None:
-        self.moves[src].setdefault(letter, []).append(dst)
-
-    def embed(self, dfa: Dfa) -> int:
-        """Copy a DFA in as plain transitions; returns the state offset."""
-        offset = len(self.eps)
-        for _ in dfa.delta:
-            self.add_state()
-        for state, row in enumerate(dfa.delta):
-            for letter, target in zip(LETTERS, row):
-                self.add_move(offset + state, letter, offset + target)
-        return offset
+# Canonical acceptors of the regex leaves: minimal, complete and numbered
+# breadth-first with letter 1 first, exactly as canonical_dfa leaves them.
+EMPTY_DFA = Dfa(((0, 0),), (False,))
+EPS_DFA = Dfa(((1, 1), (1, 1)), (True, False))
+LETTER_DFA = {
+    1: Dfa(((1, 2), (2, 2), (2, 2)), (False, True, False)),
+    2: Dfa(((1, 2), (1, 1), (1, 1)), (False, False, True)),
+}
 
 
 def compile_regex(r: Regex) -> Dfa:
-    """Thompson construction followed by the canonical determinization."""
-    nfa = Nfa()
-    start, accept = _fragment(nfa, r)
-    return determinize(nfa, [start], {accept})
-
-
-def _fragment(nfa: Nfa, r: Regex) -> tuple[int, int]:
+    """Structural recursion over the canonical operations on acceptors."""
     match r:
         case Empty():
-            return nfa.add_state(), nfa.add_state()
+            return EMPTY_DFA
         case Eps():
-            s, t = nfa.add_state(), nfa.add_state()
-            nfa.add_eps(s, t)
-            return s, t
-        case Lit(letter):
-            s, t = nfa.add_state(), nfa.add_state()
-            nfa.add_move(s, letter, t)
-            return s, t
+            return EPS_DFA
+        case Lit(letter) if letter in LETTER_DFA:
+            return LETTER_DFA[letter]
         case Alt(a, b):
-            sa, ta = _fragment(nfa, a)
-            sb, tb = _fragment(nfa, b)
-            s, t = nfa.add_state(), nfa.add_state()
-            nfa.add_eps(s, sa)
-            nfa.add_eps(s, sb)
-            nfa.add_eps(ta, t)
-            nfa.add_eps(tb, t)
-            return s, t
+            return product_dfa(compile_regex(a), compile_regex(b), or_)
         case Cat(a, b):
-            sa, ta = _fragment(nfa, a)
-            sb, tb = _fragment(nfa, b)
-            nfa.add_eps(ta, sb)
-            return sa, tb
+            return concat_dfa(compile_regex(a), compile_regex(b))
         case Star(body):
-            sb, tb = _fragment(nfa, body)
-            s = nfa.add_state()
-            nfa.add_eps(s, sb)
-            nfa.add_eps(tb, s)
-            return s, s
+            return star_dfa(compile_regex(body))
         case Plus(body):
-            sb, tb = _fragment(nfa, body)
-            t = nfa.add_state()
-            nfa.add_eps(tb, t)
-            nfa.add_eps(t, sb)
-            return sb, t
+            inner = compile_regex(body)
+            return concat_dfa(inner, star_dfa(inner))
         case Opt(body):
-            sb, tb = _fragment(nfa, body)
-            s, t = nfa.add_state(), nfa.add_state()
-            nfa.add_eps(s, sb)
-            nfa.add_eps(s, t)
-            nfa.add_eps(tb, t)
-            return s, t
+            return product_dfa(compile_regex(body), EPS_DFA, or_)
     raise TypeError(f"not a regex node: {r!r}")
 
 
-def determinize(nfa: Nfa, starts, finals) -> Dfa:
-    """Subset construction; the empty subset serves as the dead state, so
-    the result is always complete. Returns the canonical minimal form."""
-    finals = set(finals)
+def determinize(delta: tuple[tuple[int, int], ...], eps: dict[int, tuple[int, ...]],
+                start: int, finals: set[int]) -> Dfa:
+    """Subset construction over complete transition rows joined by epsilon
+    edges (eps[s]: the states s also stands for). Returns the canonical
+    minimal form."""
 
-    def closure(states: frozenset) -> frozenset:
+    def closure(states) -> frozenset:
         out = set(states)
-        stack = list(states)
+        stack = list(out)
         while stack:
-            for nxt in nfa.eps[stack.pop()]:
+            for nxt in eps.get(stack.pop(), ()):
                 if nxt not in out:
                     out.add(nxt)
                     stack.append(nxt)
         return frozenset(out)
 
-    start = closure(frozenset(starts))
-    index = {start: 0}
-    order = [start]
+    first = closure((start,))
+    index = {first: 0}
+    order = [first]
     rows = []
     i = 0
     while i < len(order):
-        current = order[i]
         row = []
-        for letter in LETTERS:
-            targets = set()
-            for state in current:
-                targets.update(nfa.moves[state].get(letter, ()))
-            subset = closure(frozenset(targets))
+        for letter_index in (0, 1):
+            subset = closure({delta[state][letter_index] for state in order[i]})
             if subset not in index:
                 index[subset] = len(order)
                 order.append(subset)

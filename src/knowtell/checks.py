@@ -333,9 +333,7 @@ class CheckConfig:
     max_facts: int = 3
     depth: int = 5
     traces: int = 100
-    max_len: int = 10
     seed: int = 42
-    stability_tells: int = 50
     disable_understanding: bool = False
 
 
@@ -343,13 +341,12 @@ def run_all_checks(config: CheckConfig = CheckConfig()) -> list[CheckReport]:
     """Every check in a fixed order; overall status is their conjunction."""
     return [
         check_language_equivalence_props(config.max_facts),
-        check_ck_dynamics(config.traces, config.max_len, config.seed),
+        check_ck_dynamics(config.traces, seed=config.seed),
         check_success_theorems(
             config.max_facts,
             disable_understanding=config.disable_understanding,
         ),
         check_fixpoint_stability(
-            config.stability_tells,
             disable_understanding=config.disable_understanding,
         ),
         check_oracle_equivalence(

@@ -22,8 +22,8 @@ from .dynamics import (
     saturate,
     step,
 )
-from .langs import to_dot
-from .oracle import MAX_ORACLE_DEPTH, compare_symbolic
+from .langs import MAX_ORACLE_DEPTH, to_dot
+from .oracle import compare_symbolic
 from .regexes import RegexError
 from .sentences import Sentence, SentenceError, parse_sentence
 from .states import (

@@ -1,19 +1,20 @@
 """Exact algebra of regular suffix languages over the marks 1 and 2.
 
-Every value is interned behind its canonical minimal acceptor, so equality
-is a dictionary-identity check and the lru caches below make the repeated
-small operations of the dynamics essentially free. All operations are pure;
-nothing here is ever approximated or sampled.
+Every value is interned behind its canonical minimal acceptor, so equal
+languages are the same object and ``==`` is identity; the lru caches below
+make the repeated small operations of the dynamics essentially free. All
+operations are pure; nothing here is ever approximated or sampled.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from functools import lru_cache
+from operator import or_
 
 from . import regexes
-from .automata import (Dfa, Nfa, canonical_dfa, compile_regex, determinize,
-                       dfa_to_dot, product_dfa)
+from .automata import (Dfa, canonical_dfa, compile_regex, concat_dfa,
+                       dfa_to_dot, product_dfa, star_dfa)
 from .regexes import Regex, parse_regex
 from .sentences import Word
 
@@ -21,7 +22,7 @@ from .sentences import Word
 class Lang:
     """An exact regular language of suffix words; immutable and interned."""
 
-    __slots__ = ("dfa", "_hash")
+    __slots__ = ("dfa",)
 
     _interned: dict[Dfa, "Lang"] = {}
 
@@ -31,9 +32,12 @@ class Lang:
         if lang is None:
             lang = super().__new__(cls)
             lang.dfa = dfa
-            lang._hash = hash(dfa)
             cls._interned[dfa] = lang
         return lang
+
+    def __reduce__(self):
+        # copies and unpickled values come back as the interned object
+        return Lang, (self.dfa,)
 
     def contains(self, word: Word) -> bool:
         return self.dfa.accepts(word)
@@ -45,12 +49,6 @@ class Lang:
     @property
     def is_empty(self) -> bool:
         return not any(self.dfa.accepting)
-
-    def __eq__(self, other) -> bool:
-        return self is other or (isinstance(other, Lang) and self.dfa == other.dfa)
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         n = count_words(self, 3)
@@ -89,7 +87,6 @@ def prefixed(word: Word, lang: Lang) -> Lang:
     return Lang(canonical_dfa(Dfa(delta, accepting)))
 
 
-@lru_cache(maxsize=None)
 def from_word(word: Word) -> Lang:
     """The one-word language {word}."""
     return prefixed(word, EPSILON)
@@ -101,17 +98,11 @@ ALL_WORDS: Lang
 LETTER: dict[int, Lang]
 
 
+@lru_cache(maxsize=None)
 def union(a: Lang, b: Lang) -> Lang:
     if a is b:
         return a
-    if (b.dfa.delta, b.dfa.accepting) < (a.dfa.delta, a.dfa.accepting):
-        a, b = b, a  # commutative, so normalize the cache key
-    return _union(a, b)
-
-
-@lru_cache(maxsize=None)
-def _union(a: Lang, b: Lang) -> Lang:
-    return Lang(product_dfa(a.dfa, b.dfa, lambda x, y: x or y))
+    return Lang(product_dfa(a.dfa, b.dfa, or_))
 
 
 def without_empty_word(a: Lang) -> Lang:
@@ -121,26 +112,12 @@ def without_empty_word(a: Lang) -> Lang:
 
 @lru_cache(maxsize=None)
 def concat(a: Lang, b: Lang) -> Lang:
-    nfa = Nfa()
-    offset_a = nfa.embed(a.dfa)
-    offset_b = nfa.embed(b.dfa)
-    for state, acc in enumerate(a.dfa.accepting):
-        if acc:
-            nfa.add_eps(offset_a + state, offset_b)
-    finals = {offset_b + s for s, acc in enumerate(b.dfa.accepting) if acc}
-    return Lang(determinize(nfa, [offset_a], finals))
+    return Lang(concat_dfa(a.dfa, b.dfa))
 
 
 @lru_cache(maxsize=None)
 def star(a: Lang) -> Lang:
-    nfa = Nfa()
-    offset = nfa.embed(a.dfa)
-    hub = nfa.add_state()
-    nfa.add_eps(hub, offset)
-    for state, acc in enumerate(a.dfa.accepting):
-        if acc:
-            nfa.add_eps(offset + state, hub)
-    return Lang(determinize(nfa, [hub], {hub}))
+    return Lang(star_dfa(a.dfa))
 
 
 def plus(a: Lang) -> Lang:
@@ -188,22 +165,19 @@ def contains_cone(lang: Lang, word: Word) -> bool:
     return lang.dfa.accepting[state] and lang.dfa.delta[state] == (state, state)
 
 
+# Enumeration (and the oracle's closure) grow as 2^(depth+1); at depth 16 the
+# worked example already peaks near 110 MB, so anything deeper is refused.
+MAX_ORACLE_DEPTH = 16
+
+
 @lru_cache(maxsize=None)
 def enumerate_words(lang: Lang, max_len: int) -> frozenset[Word]:
-    """Exactly the members with length <= max_len."""
-    if max_len < 0:
-        raise ValueError("max_len must be >= 0")
-    out = []
-
-    def walk(state: int, word: Word) -> None:
-        if lang.dfa.accepting[state]:
-            out.append(word)
-        if len(word) < max_len:
-            walk(lang.dfa.delta[state][0], word + (1,))
-            walk(lang.dfa.delta[state][1], word + (2,))
-
-    walk(0, ())
-    return frozenset(out)
+    """Exactly the members with length <= max_len, read off the count table;
+    ValueError outside 0..MAX_ORACLE_DEPTH."""
+    if max_len > MAX_ORACLE_DEPTH:
+        raise ValueError(f"max_len must be <= {MAX_ORACLE_DEPTH}, got {max_len}")
+    return frozenset(word_at(lang, max_len, i)
+                     for i in range(count_words(lang, max_len)))
 
 
 @lru_cache(maxsize=None)
@@ -255,7 +229,6 @@ def solve_arden(base: Lang, loop: Lang) -> Lang:
     return concat(base, star(loop))
 
 
-@lru_cache(maxsize=None)
 def cone(word: Word) -> Lang:
     """All extensions of a word: {word} followed by anything."""
     return prefixed(word, ALL_WORDS)

@@ -11,13 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dynamics import saturate
-from .langs import enumerate_words
+from .langs import MAX_ORACLE_DEPTH, enumerate_words
 from .sentences import Sentence, Word, format_sentence
 from .states import ModelKind, Scenario
-
-# Closure and enumeration grow as 2^(depth+1); at depth 16 the worked
-# example already peaks near 110 MB, so anything deeper is refused.
-MAX_ORACLE_DEPTH = 16
 
 
 @dataclass(frozen=True)

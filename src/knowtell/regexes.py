@@ -73,8 +73,9 @@ EMPTY = Empty()
 EPS = Eps()
 
 
-# Smart constructors: drop Empty/Eps units, fold x*x into x+ and nest to the
-# right, so that machine-built expressions print without dead subterms.
+# Smart constructors: drop Empty/Eps units, fold x*x into x+ and x?+, x+?
+# into x*, and nest to the right, so that machine-built expressions print
+# without dead subterms and runs of postfix operators stay shallow.
 
 def alt(a: Regex, b: Regex) -> Regex:
     match (a, b):
@@ -126,6 +127,8 @@ def plus(r: Regex) -> Regex:
             return EPS
         case Star(_) | Plus(_):
             return r
+        case Opt(body):
+            return star(body)
         case _:
             return Plus(r)
 
@@ -136,6 +139,8 @@ def opt(r: Regex) -> Regex:
             return EPS
         case Star(_) | Opt(_):
             return r
+        case Plus(body):
+            return star(body)
         case _:
             return Opt(r)
 
@@ -149,26 +154,43 @@ _ATOM_START = frozenset("120e(")
 _POSTFIX = {"*": star, "+": plus, "?": opt}
 
 
+# Deepest parenthesis nesting accepted. Chains of juxtaposition and ``|``
+# parse as balanced trees and postfix runs fold, so each level of nesting
+# adds depth only logarithmic in the text's length; with this bound the
+# recursive hashing and compiling of the AST stays far inside the
+# interpreter's recursion limit.
+MAX_NESTING = 32
+
+
+def _balanced(node, items: list[Regex]) -> Regex:
+    # items joined in order by the binary node, halving at each level
+    if len(items) == 1:
+        return items[0]
+    mid = len(items) // 2
+    return node(_balanced(node, items[:mid]), _balanced(node, items[mid:]))
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.nesting = 0
 
     def peek(self) -> str | None:
         return self.text[self.pos] if self.pos < len(self.text) else None
 
     def parse_alt(self) -> Regex:
-        node = self.parse_cat()
+        terms = [self.parse_cat()]
         while self.peek() == "|":
             self.pos += 1
-            node = Alt(node, self.parse_cat())
-        return node
+            terms.append(self.parse_cat())
+        return _balanced(Alt, terms)
 
     def parse_cat(self) -> Regex:
-        node = self.parse_postfix()
+        factors = [self.parse_postfix()]
         while self.peek() in _ATOM_START:
-            node = Cat(node, self.parse_postfix())
-        return node
+            factors.append(self.parse_postfix())
+        return _balanced(Cat, factors)
 
     def parse_postfix(self) -> Regex:
         node = self.parse_atom()
@@ -190,8 +212,13 @@ class _Parser:
             return EMPTY
         if ch == "(":
             open_pos = self.pos
+            if self.nesting == MAX_NESTING:
+                raise RegexError(f"parentheses nested deeper than {MAX_NESTING}",
+                                 open_pos)
             self.pos += 1
+            self.nesting += 1
             node = self.parse_alt()
+            self.nesting -= 1
             if self.peek() != ")":
                 raise RegexError("missing ')'", open_pos)
             self.pos += 1

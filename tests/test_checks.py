@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -18,7 +19,6 @@ from knowtell.checks import (
     subsets_of,
 )
 from knowtell.dynamics import TellEvent, saturate, step
-from knowtell.langs import enumerate_words
 from knowtell.sentences import Sentence
 from knowtell.states import ModelKind, Scenario, initial_state
 
@@ -99,6 +99,12 @@ def test_run_all_checks_order_and_status():
     assert all(r.millis >= 0 for r in reports)
 
 
+def test_check_config_has_only_the_cli_settings():
+    assert [f.name for f in dataclasses.fields(CheckConfig)] == [
+        "max_facts", "depth", "traces", "seed", "disable_understanding",
+    ]
+
+
 def test_reports_deterministic_given_seed():
     config = CheckConfig(max_facts=2, depth=4, traces=10, seed=7)
     first = run_all_checks(config)
@@ -139,8 +145,10 @@ def reference_sample_tell(state_a, state_b, facts, rng, depth):
     for state in (state_a, state_b):
         receiver = 2 if state.agent == 1 else 1
         for fact in facts:
-            for word in sorted(enumerate_words(state.langs[fact], depth),
-                               key=lambda w: (len(w), w)):
+            # every word by (length, word), letter 1 first, kept if a member
+            for word in (w for n in range(depth + 1)
+                         for w in itertools.product((1, 2), repeat=n)
+                         if state.langs[fact].contains(w)):
                 candidates.append(
                     TellEvent(state.agent, receiver, Sentence(fact, word))
                 )

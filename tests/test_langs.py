@@ -1,16 +1,20 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from knowtell import langs
-from knowtell.dynamics import _solve_fact
+from knowtell import automata, langs, oracle
+from knowtell.automata import canonical_dfa
+from knowtell.dynamics import _solve_fact, saturate
 from knowtell.langs import (
     ALL_WORDS,
     EMPTY,
     EPSILON,
     LETTER,
+    MAX_ORACLE_DEPTH,
     concat,
     cone,
     contains_cone,
@@ -28,9 +32,11 @@ from knowtell.langs import (
     subset,
     to_dot,
     union,
+    without_empty_word,
     word_at,
 )
 from knowtell.regexes import word_regex
+from knowtell.states import Scenario, initial_state
 from tests.test_regexes import regex_asts
 
 
@@ -263,7 +269,9 @@ def test_pruned_subset_matches_unpruned_walk(a, b, word):
 
 def assert_enumeration_ops_agree(lang):
     for d in range(7):
-        ordered = sorted(enumerate_words(lang, d), key=lambda w: (len(w), w))
+        # all_words lists by (length, word), letter 1 first
+        ordered = [w for w in all_words(d) if lang.contains(w)]
+        assert enumerate_words(lang, d) == frozenset(ordered)
         n = count_words(lang, d)
         assert n == len(ordered)
         assert [word_at(lang, d, i) for i in range(n)] == ordered
@@ -290,3 +298,39 @@ def test_count_and_unrank_on_fixed_languages():
         count_words(ALL_WORDS, -1)
     with pytest.raises(IndexError):
         word_at(ALL_WORDS, 2, -1)
+
+
+def test_enumeration_depth_is_bounded():
+    with pytest.raises(ValueError):
+        enumerate_words(ALL_WORDS, MAX_ORACLE_DEPTH + 1)
+    with pytest.raises(ValueError):
+        enumerate_words(ALL_WORDS, -1)
+    assert oracle.MAX_ORACLE_DEPTH is MAX_ORACLE_DEPTH
+
+
+def test_module_constants_are_canonical():
+    constants = [automata.EMPTY_DFA, automata.EPS_DFA, *automata.LETTER_DFA.values(),
+                 *(lang.dfa for lang in (EMPTY, EPSILON, ALL_WORDS, *LETTER.values()))]
+    for dfa in constants:
+        assert canonical_dfa(dfa) == dfa
+
+
+@settings(max_examples=60, deadline=None)
+@given(regex_asts, regex_asts, words_st)
+def test_every_operation_returns_canonical_acceptors(r, s, word):
+    a, b = from_ast(r), from_ast(s)
+    for lang in (a, b, union(a, b), concat(a, b), star(a), prefixed(word, a),
+                 without_empty_word(a)):
+        assert canonical_dfa(lang.dfa) == lang.dfa
+
+
+def test_copies_and_pickles_are_the_interned_language():
+    for lang in (EMPTY, ALL_WORDS, from_regex("1*(12+1*)*")):
+        assert copy.copy(lang) is lang
+        assert copy.deepcopy(lang) is lang
+        assert pickle.loads(pickle.dumps(lang)) is lang
+    result = saturate(Scenario.make("ab", "a", "b", "understanding"))
+    twin = copy.deepcopy(result)
+    assert twin == result and twin.state_a.langs["a"] is result.state_a.langs["a"]
+    state = initial_state(1, Scenario.make("ab", "a", "", "communication"))
+    assert pickle.loads(pickle.dumps(state)) == state

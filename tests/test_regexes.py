@@ -1,13 +1,20 @@
+import itertools
+import re
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knowtell import langs
+from knowtell.automata import compile_regex
 from knowtell.regexes import (
     EMPTY,
     EPS,
+    MAX_NESTING,
     Alt,
     Cat,
+    Empty,
+    Eps,
     Lit,
     Opt,
     Plus,
@@ -53,12 +60,41 @@ def test_parse_structure():
         ("*", 0),
         ("x", 0),
         ("1 2", 1),
+        # parentheses nested too deep: the first one past the bound
+        pytest.param("(" * (MAX_NESTING + 1) + "1" + ")" * (MAX_NESTING + 1),
+                     MAX_NESTING, id="nested-one-too-deep"),
+        pytest.param("(" * 400 + "1" + ")" * 400, MAX_NESTING, id="nested-400"),
     ],
 )
 def test_parse_rejects(text, position):
     with pytest.raises(RegexError) as err:
         parse_regex(text)
     assert err.value.position == position
+
+
+def ast_depth(r):
+    match r:
+        case Alt(a, b) | Cat(a, b):
+            return 1 + max(ast_depth(a), ast_depth(b))
+        case Star(body) | Plus(body) | Opt(body):
+            return 1 + ast_depth(body)
+    return 0
+
+
+def test_long_chains_parse_as_balanced_trees():
+    # left-nested chains this long used to raise RecursionError
+    n = 600
+    assert ast_depth(parse_regex("1" * n)) == 10
+    assert langs.from_regex("1" * n) is langs.from_word((1,) * n)
+    assert ast_depth(parse_regex("|".join("1" * n))) == 10
+    assert langs.from_regex("|".join("1" * n)) is langs.LETTER[1]
+    assert langs.from_regex("1" + "?+" * n) is langs.from_regex("1*")
+    # juxtaposition and | chains print as before
+    assert regex_to_text(parse_regex("1(2|1)2*1|2|e")) == "1(2|1)2*1|2|e"
+    # nesting up to the bound parses; sibling groups do not add up
+    deepest = "(" * MAX_NESTING + "1" + ")" * MAX_NESTING
+    assert langs.from_regex(deepest) is langs.LETTER[1]
+    assert parse_regex("(1)" * (MAX_NESTING + 5)) == parse_regex("1" * (MAX_NESTING + 5))
 
 
 def test_smart_constructors_drop_units():
@@ -75,6 +111,8 @@ def test_smart_constructors_drop_units():
     two_tail = cat(Lit(2), star(Lit(1)))
     assert cat(star(Lit(2)), two_tail) == Cat(Plus(Lit(2)), Star(Lit(1)))
     assert cat(star(Lit(1)), Lit(2)) == Cat(Star(Lit(1)), Lit(2))
+    assert plus(opt(Lit(1))) == Star(Lit(1))
+    assert opt(plus(Lit(2))) == Star(Lit(2))
 
 
 def test_render_minimal_parens():
@@ -111,3 +149,37 @@ def test_smart_constructors_preserve_language(a, b):
 def test_print_parse_preserves_language(ast):
     reparsed = parse_regex(regex_to_text(ast))
     assert langs.from_ast(reparsed) == langs.from_ast(ast)
+
+
+def python_pattern(r):
+    # the same AST in Python's re syntax, every node a non-capturing group
+    match r:
+        case Empty():
+            return "(?!)"
+        case Eps():
+            return "(?:)"
+        case Lit(letter):
+            return str(letter)
+        case Alt(a, b):
+            return f"(?:{python_pattern(a)}|{python_pattern(b)})"
+        case Cat(a, b):
+            return f"(?:{python_pattern(a)}{python_pattern(b)})"
+        case Star(body):
+            return f"(?:{python_pattern(body)})*"
+        case Plus(body):
+            return f"(?:{python_pattern(body)})+"
+        case Opt(body):
+            return f"(?:{python_pattern(body)})?"
+
+
+WORDS_UP_TO_6 = [w for n in range(7) for w in itertools.product((1, 2), repeat=n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(regex_asts)
+def test_compile_regex_agrees_with_python_re(ast):
+    dfa = compile_regex(ast)
+    pattern = re.compile(python_pattern(ast))
+    for word in WORDS_UP_TO_6:
+        text = "".join(map(str, word))
+        assert dfa.accepts(word) == bool(pattern.fullmatch(text)), text
