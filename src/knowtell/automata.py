@@ -5,7 +5,9 @@ acceptor, minimized and renumbered breadth-first with letter 1 before
 letter 2. Two acceptors recognize the same language exactly when their
 canonical forms are structurally identical, which is what lets each
 language be interned as one object. Regexes compile through the same
-operations that combine acceptors (product, concatenation, star).
+operations that combine acceptors (product, concatenation, star). An
+acceptor that only gains a few states on top of a minimal one is not
+minimized again: a `Register` merges each new state into an equal one.
 """
 
 from __future__ import annotations
@@ -141,29 +143,102 @@ def canonical_dfa(dfa: Dfa) -> Dfa:
             break
         n_blocks = len(signature_index)
 
-    representative: dict[int, int] = {}
-    for state in range(n):
-        representative.setdefault(block[state], state)
-    quotient_delta = {
-        b: (block[dfa.delta[rep][0]], block[dfa.delta[rep][1]])
-        for b, rep in representative.items()
-    }
+    rows: list = [None] * n_blocks
+    accepting: list = [False] * n_blocks
+    for state, (s, t) in enumerate(dfa.delta):
+        rows[block[state]] = (block[s], block[t])
+        accepting[block[state]] = dfa.accepting[state]
+    return renumber(rows, accepting, block[0])
 
-    # BFS from the start block, letter 1 first, fixes the numbering.
-    number = {block[0]: 0}
-    order = [block[0]]
-    i = 0
-    while i < len(order):
-        for target in quotient_delta[order[i]]:
-            if target not in number:
-                number[target] = len(order)
-                order.append(target)
-        i += 1
-    delta = tuple(
-        (number[quotient_delta[b][0]], number[quotient_delta[b][1]]) for b in order
-    )
-    accepting = tuple(bool(dfa.accepting[representative[b]]) for b in order)
-    return Dfa(delta, accepting)
+
+def renumber(delta, accepting, start: int) -> Dfa:
+    """The states reachable from start, numbered breadth-first with letter 1
+    before letter 2: on a minimal acceptor, its canonical form."""
+    number = {start: 0}
+    order = [start]
+    rows = []
+    for state in order:
+        one, two = delta[state]
+        if one not in number:
+            number[one] = len(order)
+            order.append(one)
+        if two not in number:
+            number[two] = len(order)
+            order.append(two)
+        rows.append((number[one], number[two]))
+    return Dfa(tuple(rows), tuple([accepting[s] for s in order]))
+
+
+def row_for(letter: int, target: int, other: int) -> tuple[int, int]:
+    """The transition row that reads letter to target and the other letter
+    to other."""
+    return (target, other) if letter == 1 else (other, target)
+
+
+class Register:
+    """A minimal acceptor that grows one state at a time without ever
+    holding two states with the same language.
+
+    Because every state it holds is distinct, a new state equals an old one
+    exactly when both accept alike and move to the same states, so the
+    register of those signatures merges it in one lookup (the register of
+    Carrasco & Forcada's incremental minimisation). The states are kept
+    under their numbers; `to_dfa` renumbers what a start state reaches.
+    """
+
+    def __init__(self, dfa: Dfa):
+        self.delta = list(dfa.delta)
+        self.accepting = list(dfa.accepting)
+        self.signatures = dict(zip(zip(dfa.accepting, dfa.delta), range(len(dfa.delta))))
+
+    def _new(self, accepting: bool, delta: tuple[int, int]) -> int:
+        state = self.signatures[accepting, delta] = len(self.delta)
+        self.delta.append(delta)
+        self.accepting.append(accepting)
+        return state
+
+    def add(self, accepting: bool, delta: tuple[int, int]) -> int:
+        """The state that accepts as given and moves to the given states."""
+        state = self.signatures.get((accepting, delta))
+        return self._new(accepting, delta) if state is None else state
+
+    def add_dead(self) -> int:
+        """The state of the empty language: rejecting, looping on both letters."""
+        for state, delta in enumerate(self.delta):
+            if delta == (state, state) and not self.accepting[state]:
+                return state
+        state = len(self.delta)
+        return self._new(False, (state, state))
+
+    def add_cycle(self, letter: int, exits: list[int]) -> list[int]:
+        """Accepting states c_0 .. c_{p-1}, where c_k reads letter to
+        c_{k+1 mod p} and the other letter to exits[k].
+
+        c_k and c_{k+d} are equal exactly when d is a multiple of the least
+        period of exits, and one of them equals a held state only if c_0
+        does, which a walk of one period from each candidate decides.
+        """
+        p = len(exits)
+        period = next(d for d in range(1, p + 1)
+                      if p % d == 0 and exits[d:] + exits[:d] == exits)
+        on, off = letter - 1, 2 - letter
+        for first in range(len(self.delta)):
+            state, cycle = first, []
+            for exit in exits[:period]:
+                if not self.accepting[state] or self.delta[state][off] != exit:
+                    break
+                cycle.append(state)
+                state = self.delta[state][on]
+            else:
+                if state == first:
+                    return [cycle[k % period] for k in range(p)]
+        first = len(self.delta)
+        cycle = [self._new(True, row_for(letter, first + (k + 1) % period, exits[k]))
+                 for k in range(period)]
+        return [cycle[k % period] for k in range(p)]
+
+    def to_dfa(self, start: int) -> Dfa:
+        return renumber(self.delta, self.accepting, start)
 
 
 def product_dfa(a: Dfa, b: Dfa, keep) -> Dfa:

@@ -24,10 +24,9 @@ from .langs import (
     Lang,
     concat,
     from_ast,
-    prefixed,
     solve_arden,
-    subset,
     union,
+    union_tail,
     without_empty_word,
 )
 from .regexes import Lit, Regex, alt, cat, opt, regex_to_text
@@ -72,35 +71,28 @@ def _tell_tail(sender: int, receiver: int, understanding: bool) -> Regex:
     return cat(opt(mark) if understanding else mark, regexes.star(Lit(receiver)))
 
 
-@lru_cache(maxsize=None)
-def _tell_gain(suffix: Word, sender: int, receiver: int, understanding: bool) -> Lang:
-    # what the receiver's language for the told fact gains from one tell
-    return prefixed(suffix, from_ast(_tell_tail(sender, receiver, understanding)))
-
-
 def step(state_a: KnowledgeState, state_b: KnowledgeState, event: TellEvent,
          model: ModelKind) -> tuple[KnowledgeState, KnowledgeState]:
     """Apply one tell; the sender must actually know the message.
 
-    A tell whose whole gain the receiver already knows returns both
-    states unchanged: the very same objects.
+    The receiver's language for the told fact grows by suffix.T, with T
+    the tail that `_tell_tail` writes as a regex; `langs.union_tail` builds
+    the result from the few states the tell adds. A tell whose whole gain
+    the receiver already knows returns both states unchanged: the very
+    same objects.
     """
     sender_state = state_a if event.sender == 1 else state_b
     receiver_state = state_b if event.sender == 1 else state_a
     if not knows(sender_state, event.message):
         raise TellError(f"side {event.sender} does not know '{event.message}'")
-    gain = _tell_gain(
-        event.message.suffix,
-        event.sender,
-        event.receiver,
-        model is ModelKind.UNDERSTANDING,
-    )
     fact = event.message.fact
     current = receiver_state.lang_for(fact)
-    if subset(gain, current):
+    grown = union_tail(current, event.message.suffix, event.sender, event.receiver,
+                       model is ModelKind.UNDERSTANDING)
+    if grown is current:
         return state_a, state_b
     new_langs = dict(receiver_state.langs)
-    new_langs[fact] = union(current, gain)
+    new_langs[fact] = grown
     new_receiver = KnowledgeState(receiver_state.agent, new_langs)
     if event.sender == 1:
         return state_a, new_receiver

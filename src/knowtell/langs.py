@@ -13,8 +13,8 @@ from functools import lru_cache
 from operator import or_
 
 from . import regexes
-from .automata import (Dfa, canonical_dfa, compile_regex, concat_dfa,
-                       dfa_to_dot, product_dfa, star_dfa)
+from .automata import (Dfa, Register, compile_regex, concat_dfa, dfa_to_dot,
+                       product_dfa, row_for, star_dfa)
 from .regexes import Regex, parse_regex
 from .sentences import Word
 
@@ -69,22 +69,25 @@ def from_regex(text: str) -> Lang:
     return from_ast(parse_regex(text))
 
 
-def prefixed(word: Word, lang: Lang) -> Lang:
-    """word . lang, built from lang's acceptor: a path reads the word into its
-    start state, and every letter off the path goes to one dead state."""
-    n = len(word)
-    if not n:
-        return lang
-    dead = n + len(lang.dfa.delta)
-    path = []
-    for i, letter in enumerate(word):
+def _check_letters(word: Word) -> None:
+    for letter in word:
         if letter not in (1, 2):
             raise ValueError(f"letter must be 1 or 2, got {letter!r}")
-        path.append((i + 1, dead) if letter == 1 else (dead, i + 1))
-    body = tuple((n + s, n + t) for s, t in lang.dfa.delta)
-    delta = (*path, *body, (dead, dead))
-    accepting = (False,) * n + lang.dfa.accepting + (False,)
-    return Lang(canonical_dfa(Dfa(delta, accepting)))
+
+
+def prefixed(word: Word, lang: Lang) -> Lang:
+    """word . lang: a path that reads the word into lang's start state, every
+    letter off the path going to the empty language. Only the path states
+    are new, so each is merged through the register, last letter first."""
+    _check_letters(word)
+    if not word:
+        return lang
+    register = Register(lang.dfa)
+    dead = register.add_dead()
+    state = 0
+    for letter in reversed(word):
+        state = register.add(False, row_for(letter, state, dead))
+    return Lang(register.to_dfa(state))
 
 
 def from_word(word: Word) -> Lang:
@@ -103,6 +106,70 @@ def union(a: Lang, b: Lang) -> Lang:
     if a is b:
         return a
     return Lang(product_dfa(a.dfa, b.dfa, or_))
+
+
+def _own_loop_accepts(lang: Lang, state: int, own: int) -> bool:
+    # does every run of the own mark, read from state, end in an accepting state?
+    seen = set()
+    while state not in seen:
+        if not lang.dfa.accepting[state]:
+            return False
+        seen.add(state)
+        state = lang.dfa.delta[state][own - 1]
+    return True
+
+
+@lru_cache(maxsize=None)
+def union_tail(lang: Lang, word: Word, mark: int, own: int, optional: bool) -> Lang:
+    """lang + word.T for the tell tail T = mark.own* ((mark|e).own* when
+    optional); lang itself when it already holds all of word.T.
+
+    With q the state that word leads to, lang already holds word.T when
+    every run of the own mark from q's mark successor (and, when optional,
+    from q) stays on accepting states. Otherwise the result is built from
+    lang's states plus the few states the tell adds, each merged through
+    the register once its successors are known: first, for each state s on
+    those own-mark runs, the state of L_s + own* (the runs end in cycles,
+    which `Register.add_cycle` merges); then q with T; then the states
+    along word, from the last letter back.
+    """
+    if {mark, own} != {1, 2}:
+        raise ValueError(f"mark and own must be 1 and 2, got {mark!r} and {own!r}")
+    _check_letters(word)
+    delta, accepting = lang.dfa.delta, lang.dfa.accepting
+    path = [0]
+    for letter in word:
+        path.append(delta[path[-1]][letter - 1])
+    q = path.pop()
+    if (_own_loop_accepts(lang, delta[q][mark - 1], own)
+            and (not optional or _own_loop_accepts(lang, q, own))):
+        return lang
+
+    register = Register(lang.dfa)
+    looped: dict[int, int] = {}  # s -> the state of L_s + own*
+
+    def loop(seed: int) -> int:
+        walk, on_walk, s = [], {}, seed
+        while s not in looped and s not in on_walk:
+            on_walk[s] = len(walk)
+            walk.append(s)
+            s = delta[s][own - 1]
+        if s in on_walk:  # the run closed a cycle that starts at s
+            cycle = walk[on_walk[s]:]
+            del walk[on_walk[s]:]
+            exits = [delta[c][mark - 1] for c in cycle]
+            looped.update(zip(cycle, register.add_cycle(own, exits)))
+        for s in reversed(walk):
+            after = looped[delta[s][own - 1]]
+            looped[s] = register.add(True, row_for(own, after, delta[s][mark - 1]))
+        return looped[seed]
+
+    after_own = loop(delta[q][own - 1]) if optional else delta[q][own - 1]
+    state = register.add(accepting[q] or optional,
+                         row_for(mark, loop(delta[q][mark - 1]), after_own))
+    for letter, s in zip(reversed(word), reversed(path)):
+        state = register.add(accepting[s], row_for(letter, state, delta[s][2 - letter]))
+    return Lang(register.to_dfa(state))
 
 
 def without_empty_word(a: Lang) -> Lang:
@@ -181,8 +248,9 @@ def enumerate_words(lang: Lang, max_len: int) -> frozenset[Word]:
 
 
 @lru_cache(maxsize=None)
-def _path_counts(lang: Lang, max_len: int) -> tuple[tuple[int, ...], ...]:
-    # counts[r][q]: accepted words of length exactly r read from state q
+def _path_counts(lang: Lang, max_len: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    # counts[r][q]: accepted words of length exactly r read from state q;
+    # and the number of members with length <= max_len
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
     row = tuple(map(int, lang.dfa.accepting))
@@ -190,19 +258,19 @@ def _path_counts(lang: Lang, max_len: int) -> tuple[tuple[int, ...], ...]:
     for _ in range(max_len):
         row = tuple(row[s] + row[t] for s, t in lang.dfa.delta)
         counts.append(row)
-    return tuple(counts)
+    return tuple(counts), sum(row[0] for row in counts)
 
 
 def count_words(lang: Lang, max_len: int) -> int:
     """How many members have length <= max_len, without listing them."""
-    return sum(row[0] for row in _path_counts(lang, max_len))
+    return _path_counts(lang, max_len)[1]
 
 
 def word_at(lang: Lang, max_len: int, index: int) -> Word:
     """The index-th member of length <= max_len in (length, word) order,
     letter 1 before 2; IndexError outside 0..count_words - 1."""
-    counts = _path_counts(lang, max_len)
-    if not 0 <= index < count_words(lang, max_len):
+    counts, total = _path_counts(lang, max_len)
+    if not 0 <= index < total:
         raise IndexError("word index out of range")
     length = 0
     while index >= counts[length][0]:

@@ -9,7 +9,6 @@ the notation stays ASCII-clean in files and CLI output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Iterable
 
 
@@ -146,8 +145,10 @@ def opt(r: Regex) -> Regex:
 
 
 def word_regex(word: Iterable[int]) -> Regex:
-    """The single-word language, e.g. (2, 1) -> ``21``."""
-    return reduce(cat, (Lit(letter) for letter in word), EPS)
+    """The single-word language, e.g. (2, 1) -> ``21``: the balanced tree
+    the parser builds for the same text."""
+    letters = [Lit(letter) for letter in word]
+    return _balanced(Cat, letters) if letters else EPS
 
 
 _ATOM_START = frozenset("120e(")

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -7,7 +8,7 @@ from knowtell.dynamics import (
     TellError,
     TellEvent,
     TraceError,
-    _tell_gain,
+    _tell_tail,
     run_trace,
     saturate,
     step,
@@ -17,8 +18,10 @@ from knowtell.langs import (
     LETTER,
     concat,
     enumerate_words,
+    from_ast,
     from_regex,
     option,
+    prefixed,
     star,
     subset,
     union,
@@ -115,6 +118,11 @@ def test_repeated_tell_leaves_states_unchanged(worked_example):
     assert all(again_b.langs[f] is state_b.langs[f] for f in worked_example.facts)
 
 
+def tell_gain(suffix, sender, receiver, understanding):
+    # what the receiver's language for the told fact gains from one tell
+    return prefixed(suffix, from_ast(_tell_tail(sender, receiver, understanding)))
+
+
 @pytest.mark.parametrize("model", list(ModelKind))
 def test_step_is_union_with_gain_or_unchanged(model):
     rng = random.Random(17)
@@ -129,8 +137,8 @@ def test_step_is_union_with_gain_or_unchanged(model):
                 break
             receiver = state_b if event.sender == 1 else state_a
             old = receiver.langs[event.message.fact]
-            gain = _tell_gain(event.message.suffix, event.sender,
-                              event.receiver, model is ModelKind.UNDERSTANDING)
+            gain = tell_gain(event.message.suffix, event.sender,
+                             event.receiver, model is ModelKind.UNDERSTANDING)
             after_a, after_b = step(state_a, state_b, event, model)
             new_receiver = after_b if event.sender == 1 else after_a
             if subset(gain, old):
@@ -144,6 +152,36 @@ def test_step_is_union_with_gain_or_unchanged(model):
                            for f in scenario.facts if f != event.message.fact)
             state_a, state_b = after_a, after_b
     assert no_ops and grows
+
+
+def test_traced_acceptors_and_ck_answers_are_pinned():
+    # every acceptor and twelve ck answers after each sampled tell, and on the
+    # limit states, in both models; the digest was taken from the tell rule
+    # built by product and full minimisation, so any change in a canonical
+    # acceptor or an answer shows
+    digest = hashlib.sha256()
+    suffixes = ((), (1,), (2,), (1, 2), (2, 1), (1, 1, 2))
+    rng = random.Random(5)
+    for model in ModelKind:
+        for side_a, side_b in ((["a"], ["b"]), (["a", "b"], ["a"]), ([], ["b"]),
+                               (["a"], ["a"])):
+            scenario = Scenario.make(["a", "b"], side_a, side_b, model)
+            pairs = []
+            state_a, state_b = initial_state(1, scenario), initial_state(2, scenario)
+            for _ in range(120):
+                event = _sample_tell(state_a, state_b, scenario.facts, rng, 6)
+                state_a, state_b = step(state_a, state_b, event, model)
+                pairs.append((state_a, state_b))
+            limit = saturate(scenario)
+            pairs.append((limit.state_a, limit.state_b))
+            for pair in pairs:
+                for state in pair:
+                    for fact in scenario.facts:
+                        digest.update(repr(state.langs[fact].dfa).encode())
+                digest.update(bytes(common_knowledge(*pair, Sentence(f, s))
+                                    for f in scenario.facts for s in suffixes))
+    assert digest.hexdigest() == (
+        "b0850abce6b41b4dfd7fa8c58d6536484a0ad5ff91c4a2de36f80c617fbf1926")
 
 
 def test_run_trace(worked_example):

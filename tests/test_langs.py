@@ -7,14 +7,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from knowtell import automata, langs, oracle
-from knowtell.automata import canonical_dfa
-from knowtell.dynamics import _solve_fact, saturate
+from knowtell.automata import canonical_dfa, renumber
+from knowtell.dynamics import _solve_fact, _tell_tail, saturate
 from knowtell.langs import (
     ALL_WORDS,
     EMPTY,
     EPSILON,
     LETTER,
     MAX_ORACLE_DEPTH,
+    Lang,
     concat,
     cone,
     contains_cone,
@@ -32,6 +33,7 @@ from knowtell.langs import (
     subset,
     to_dot,
     union,
+    union_tail,
     without_empty_word,
     word_at,
 )
@@ -135,6 +137,33 @@ def test_prefixed_examples():
     assert from_word(()) is EPSILON
     with pytest.raises(ValueError):
         prefixed((0,), ALL_WORDS)
+
+
+def test_long_words_build_in_linear_time():
+    word = (1, 2) * 2500
+    lang = from_word(word)
+    assert len(lang.dfa.delta) == 5002
+    assert lang.contains(word) and not lang.contains(word[1:])
+    assert contains_cone(cone(word), word + (2, 2))
+    assert prefixed((1,) * 5000, EPSILON).contains((1,) * 5000)
+
+
+def test_union_tail_examples():
+    assert union_tail(EMPTY, (), 1, 2, False) is from_regex("12*")
+    assert union_tail(EMPTY, (2, 1), 1, 2, True) is from_regex("21(1|e)2*")
+    grown = union_tail(from_regex("1*"), (2,), 2, 1, False)
+    assert grown is from_regex("1*|221*")
+    # nothing new: the very same object comes back
+    assert union_tail(grown, (2,), 2, 1, False) is grown
+    assert union_tail(ALL_WORDS, (1, 2), 2, 1, True) is ALL_WORDS
+    # the own-mark run from the mark's successor loops through two states,
+    # which the tail makes equal
+    assert union_tail(from_regex("1(22)*"), (), 1, 2, False) is from_regex("12*")
+    assert union_tail(from_regex("1(22)*1"), (), 1, 2, False) is from_regex("12*|1(22)*1")
+    with pytest.raises(ValueError):
+        union_tail(EMPTY, (3,), 1, 2, False)
+    with pytest.raises(ValueError):
+        union_tail(EMPTY, (), 1, 1, False)
 
 
 def test_to_dot_shape():
@@ -267,6 +296,34 @@ def test_pruned_subset_matches_unpruned_walk(a, b, word):
         assert subset(left, right) == subset_unpruned(left, right)
 
 
+@st.composite
+def minimal_dfa_langs(draw):
+    # any minimal acceptor, including ones no run of tells can reach
+    n = draw(st.integers(min_value=1, max_value=8))
+    state = st.integers(min_value=0, max_value=n - 1)
+    delta = draw(st.lists(st.tuples(state, state), min_size=n, max_size=n))
+    accepting = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return Lang(canonical_dfa(renumber(delta, accepting, 0)))
+
+
+def union_with_gain(lang, word, sender, understanding):
+    # the general route: the tell's gain as a language, then inclusion and union
+    gain = prefixed(word, from_ast(_tell_tail(sender, 3 - sender, understanding)))
+    return lang if subset(gain, lang) else union(lang, gain)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(langs_st, minimal_dfa_langs()), words_st, words_st,
+       st.sampled_from((1, 2)), st.booleans())
+def test_union_tail_is_union_with_gain(lang, word, again, sender, understanding):
+    grown = union_tail(lang, word, sender, 3 - sender, understanding)
+    assert grown is union_with_gain(lang, word, sender, understanding)
+    # a second tell, from either side, into the grown language
+    for second in (1, 2):
+        assert (union_tail(grown, again, second, 3 - second, understanding)
+                is union_with_gain(grown, again, second, understanding))
+
+
 def assert_enumeration_ops_agree(lang):
     for d in range(7):
         # all_words lists by (length, word), letter 1 first
@@ -320,7 +377,8 @@ def test_module_constants_are_canonical():
 def test_every_operation_returns_canonical_acceptors(r, s, word):
     a, b = from_ast(r), from_ast(s)
     for lang in (a, b, union(a, b), concat(a, b), star(a), prefixed(word, a),
-                 without_empty_word(a)):
+                 without_empty_word(a), union_tail(a, word, 1, 2, True),
+                 union_tail(b, word, 2, 1, False)):
         assert canonical_dfa(lang.dfa) == lang.dfa
 
 

@@ -97,6 +97,21 @@ def test_long_chains_parse_as_balanced_trees():
     assert parse_regex("(1)" * (MAX_NESTING + 5)) == parse_regex("1" * (MAX_NESTING + 5))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from((1, 2)), max_size=40).map(tuple))
+def test_word_regex_is_the_parsed_tree(word):
+    text = "".join(map(str, word)) or "e"
+    assert word_regex(word) == parse_regex(text)
+
+
+def test_long_word_regex():
+    # folding cat over the letters raised RecursionError at 1,000 letters
+    word = (1, 2, 2) * 1667
+    assert word_regex(word) == parse_regex("122" * 1667)
+    assert ast_depth(word_regex(word)) == 13
+    assert regex_to_text(word_regex(word)) == "122" * 1667
+
+
 def test_smart_constructors_drop_units():
     assert alt(EMPTY, Lit(1)) == Lit(1)
     assert cat(EPS, Lit(2)) == Lit(2)
