@@ -28,13 +28,18 @@ class Dfa:
     delta: tuple[tuple[int, int], ...]
     accepting: tuple[bool, ...]
 
-    def accepts(self, word) -> bool:
-        state = 0
+    def path(self, word) -> list[int]:
+        """The states a run over the word passes through, the start state
+        first; ValueError on a letter other than 1 or 2."""
+        states = [0]
         for letter in word:
             if letter not in (1, 2):
                 raise ValueError(f"letter must be 1 or 2, got {letter!r}")
-            state = self.delta[state][letter - 1]
-        return self.accepting[state]
+            states.append(self.delta[states[-1]][letter - 1])
+        return states
+
+    def accepts(self, word) -> bool:
+        return self.accepting[self.path(word)[-1]]
 
 
 def concat_dfa(a: Dfa, b: Dfa) -> Dfa:

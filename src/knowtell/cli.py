@@ -2,7 +2,8 @@
 queries, theorem reports, DOT graphs, and an interactive shell out.
 
 Exit codes: 0 all pass, 1 any violation or mismatch, 2 usage error,
-3 invalid input (unreadable file, bad JSON, bad scenario, bad trace).
+3 invalid input (unreadable or non-UTF-8 file, bad JSON, bad scenario, bad
+trace, bad query).
 """
 
 from __future__ import annotations
@@ -102,9 +103,13 @@ def _read_json(path: str):
             text = handle.read()
     except OSError as exc:
         raise InputError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except RecursionError:
+        raise InputError(f"{path}: bad JSON: nested too deeply") from None
+    except ValueError as exc:  # a decode error, or an integer too long to convert
         raise InputError(f"{path}: bad JSON: {exc}") from exc
 
 
@@ -143,18 +148,21 @@ def emit_report(reports: Sequence[CheckReport], fmt: str = "text") -> str:
     return "\n".join(lines)
 
 
+def _knows_line(scenario: Scenario, state: KnowledgeState) -> str:
+    bare = known_facts(state)
+    shown = ", ".join(f for f in scenario.facts if f in bare) or "(none)"
+    return f"side {state.agent} knows: {shown}"
+
+
 def _summary_lines(scenario: Scenario, state_a: KnowledgeState,
                    state_b: KnowledgeState) -> list[str]:
-    def ordered(facts):
-        return ", ".join(f for f in scenario.facts if f in facts) or "(none)"
-
     ck = [f for f in scenario.facts
           if common_knowledge(state_a, state_b, Sentence(f))]
     return [
         f"model: {scenario.model.value}",
         f"facts: {', '.join(scenario.facts) or '(none)'}",
-        f"side 1 knows: {ordered(known_facts(state_a))}",
-        f"side 2 knows: {ordered(known_facts(state_b))}",
+        _knows_line(scenario, state_a),
+        _knows_line(scenario, state_b),
         f"languages equal: {str(language_equal(state_a, state_b)).lower()}",
         f"common knowledge: {', '.join(ck) or '(none)'}",
         f"project success: {str(project_success(state_a, state_b, scenario)).lower()}",
@@ -206,33 +214,37 @@ def _cmd_saturate(args) -> int:
     return EXIT_PASS
 
 
-def _run_query(query: str, scenario: Scenario, state_a: KnowledgeState,
-               state_b: KnowledgeState) -> str:
-    parts = query.split()
-    try:
-        if len(parts) == 3 and parts[0] == "knows" and parts[1] in ("1", "2"):
-            state = state_a if parts[1] == "1" else state_b
-            return str(knows(state, parse_sentence(parts[2]))).lower()
-        if len(parts) == 2 and parts[0] == "ck":
-            sentence = parse_sentence(parts[1])
-            return str(common_knowledge(state_a, state_b, sentence)).lower()
-    except (SentenceError, UnknownFactError) as exc:
-        raise InputError(f"query {query!r}: {exc}") from exc
-    raise InputError(
-        f"bad query {query!r}: want \"knows SIDE SENTENCE\" or \"ck SENTENCE\""
-    )
+def _answer(words: Sequence[str], state_a: KnowledgeState,
+            state_b: KnowledgeState) -> str | None:
+    """"true" or "false" for "knows SIDE SENTENCE" or "ck SENTENCE"; None
+    when the words are not a query. SentenceError and UnknownFactError
+    propagate."""
+    match words:
+        case ["knows", "1" | "2" as side, text]:
+            answer = knows(state_a if side == "1" else state_b, parse_sentence(text))
+        case ["ck", text]:
+            answer = common_knowledge(state_a, state_b, parse_sentence(text))
+        case _:
+            return None
+    return str(answer).lower()
 
 
 def _cmd_trace(args) -> int:
     scenario = load_scenario(args.scenario)
     events = load_trace(args.trace)
     state_a, state_b = run_trace(scenario, events)
-    if args.query:
-        for query in args.query:
-            print(_run_query(query, scenario, state_a, state_b))
-    else:
+    if not args.query:
         for line in _summary_lines(scenario, state_a, state_b):
             print(line)
+    for query in args.query or ():
+        try:
+            answer = _answer(query.split(), state_a, state_b)
+        except (SentenceError, UnknownFactError) as exc:
+            raise InputError(f"query {query!r}: {exc}") from exc
+        if answer is None:
+            raise InputError(f"bad query {query!r}: want \"knows SIDE SENTENCE\" "
+                             "or \"ck SENTENCE\"")
+        print(answer)
     return EXIT_PASS
 
 
@@ -268,33 +280,23 @@ def _cmd_repl(args) -> int:
         line = sys.stdin.readline()
         if not line:
             return EXIT_PASS
-        parts = line.split()
-        if not parts:
+        words = line.split()
+        if not words:
             continue
-        command, rest = parts[0], parts[1:]
         try:
-            if command == "quit":
-                return EXIT_PASS
-            elif command == "tell" and len(rest) == 3 and rest[0] in ("1", "2") \
-                    and rest[1] in ("1", "2"):
-                event = TellEvent(int(rest[0]), int(rest[1]),
-                                  parse_sentence(rest[2]))
-                state_a, state_b = step(state_a, state_b, event, scenario.model)
-                print("ok")
-            elif command == "knows" and len(rest) == 2 and rest[0] in ("1", "2"):
-                state = state_a if rest[0] == "1" else state_b
-                print(str(knows(state, parse_sentence(rest[1]))).lower())
-            elif command == "ck" and len(rest) == 1:
-                sentence = parse_sentence(rest[0])
-                print(str(common_knowledge(state_a, state_b, sentence)).lower())
-            elif command == "facts":
-                for state in (state_a, state_b):
-                    bare = [f for f in scenario.facts
-                            if f in known_facts(state)]
-                    print(f"side {state.agent} knows: "
-                          f"{', '.join(bare) or '(none)'}")
-            else:
-                print(f"error: unknown command {line.strip()!r}")
+            match words:
+                case ["quit", *_]:
+                    return EXIT_PASS
+                case ["facts", *_]:
+                    for state in (state_a, state_b):
+                        print(_knows_line(scenario, state))
+                case ["tell", "1" | "2" as sender, "1" | "2" as receiver, text]:
+                    event = TellEvent(int(sender), int(receiver), parse_sentence(text))
+                    state_a, state_b = step(state_a, state_b, event, scenario.model)
+                    print("ok")
+                case _:
+                    answer = _answer(words, state_a, state_b)
+                    print(answer or f"error: unknown command {line.strip()!r}")
         except (SentenceError, UnknownFactError, TellError) as exc:
             print(f"error: {exc}")
 

@@ -2,8 +2,9 @@
 
 Every value is interned behind its canonical minimal acceptor, so equal
 languages are the same object and ``==`` is identity; the lru caches below
-make the repeated small operations of the dynamics essentially free. All
-operations are pure; nothing here is ever approximated or sampled.
+keep regex compilation, a tell's growth and word counting from being
+redone. All operations are pure; nothing here is ever approximated or
+sampled.
 """
 
 from __future__ import annotations
@@ -69,17 +70,11 @@ def from_regex(text: str) -> Lang:
     return from_ast(parse_regex(text))
 
 
-def _check_letters(word: Word) -> None:
-    for letter in word:
-        if letter not in (1, 2):
-            raise ValueError(f"letter must be 1 or 2, got {letter!r}")
-
-
 def prefixed(word: Word, lang: Lang) -> Lang:
     """word . lang: a path that reads the word into lang's start state, every
     letter off the path going to the empty language. Only the path states
     are new, so each is merged through the register, last letter first."""
-    _check_letters(word)
+    lang.dfa.path(word)  # checks the letters
     if not word:
         return lang
     register = Register(lang.dfa)
@@ -101,7 +96,6 @@ ALL_WORDS: Lang
 LETTER: dict[int, Lang]
 
 
-@lru_cache(maxsize=None)
 def union(a: Lang, b: Lang) -> Lang:
     if a is b:
         return a
@@ -135,11 +129,8 @@ def union_tail(lang: Lang, word: Word, mark: int, own: int, optional: bool) -> L
     """
     if {mark, own} != {1, 2}:
         raise ValueError(f"mark and own must be 1 and 2, got {mark!r} and {own!r}")
-    _check_letters(word)
     delta, accepting = lang.dfa.delta, lang.dfa.accepting
-    path = [0]
-    for letter in word:
-        path.append(delta[path[-1]][letter - 1])
+    path = lang.dfa.path(word)
     q = path.pop()
     if (_own_loop_accepts(lang, delta[q][mark - 1], own)
             and (not optional or _own_loop_accepts(lang, q, own))):
@@ -177,12 +168,10 @@ def without_empty_word(a: Lang) -> Lang:
     return Lang(product_dfa(a.dfa, EPSILON.dfa, lambda x, y: x and not y))
 
 
-@lru_cache(maxsize=None)
 def concat(a: Lang, b: Lang) -> Lang:
     return Lang(concat_dfa(a.dfa, b.dfa))
 
 
-@lru_cache(maxsize=None)
 def star(a: Lang) -> Lang:
     return Lang(star_dfa(a.dfa))
 
@@ -195,7 +184,6 @@ def option(a: Lang) -> Lang:
     return union(a, EPSILON)
 
 
-@lru_cache(maxsize=None)
 def subset(a: Lang, b: Lang) -> bool:
     """Exact inclusion: no reachable product state accepts in a but not b.
     Pairs whose a-side is dead (rejecting, looping on both letters) are not
@@ -224,11 +212,7 @@ def subset(a: Lang, b: Lang) -> bool:
 def contains_cone(lang: Lang, word: Word) -> bool:
     """Is every extension of the word in lang? In a minimal complete acceptor:
     does the word lead to the universal state (accepting, looping on 1 and 2)?"""
-    state = 0
-    for letter in word:
-        if letter not in (1, 2):
-            raise ValueError(f"letter must be 1 or 2, got {letter!r}")
-        state = lang.dfa.delta[state][letter - 1]
+    state = lang.dfa.path(word)[-1]
     return lang.dfa.accepting[state] and lang.dfa.delta[state] == (state, state)
 
 

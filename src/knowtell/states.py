@@ -103,10 +103,14 @@ class KnowledgeState:
         return lang
 
 
+# built once: initial_state runs for every scenario of the check grids
+OWN_CHAINS = {agent: star(LETTER[agent]) for agent in (1, 2)}
+
+
 def initial_state(agent: int, scenario: Scenario) -> KnowledgeState:
     """Own facts carry every chain of the agent's own mark; the rest start empty."""
     check_agent(agent)
-    own = star(LETTER[agent])
+    own = OWN_CHAINS[agent]
     side = scenario.side(agent)
     return KnowledgeState(
         agent, {f: (own if f in side else EMPTY) for f in scenario.facts}

@@ -57,6 +57,22 @@ def test_load_scenario_bad_json(tmp_path):
     assert "bad JSON" in str(err.value)
 
 
+@pytest.mark.parametrize("content,needle", [
+    (b"\xff\xfe{}", "not UTF-8 text"),
+    (b"[" * 100_000, "bad JSON: nested too deeply"),
+    (b"1" * 5_000, "bad JSON"),
+], ids=["not-utf8", "nested-too-deeply", "integer-too-long"])
+def test_undecodable_input_is_bad_input(capsys, tmp_path, scenario_path,
+                                        content, needle):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    for argv in (["saturate", str(path)], ["trace", scenario_path, str(path)]):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and needle in err
+        assert "Traceback" not in err
+
+
 def test_load_trace(write_json):
     events = load_trace(write_json([{"from": 1, "to": 2, "msg": "a"}]))
     assert len(events) == 1
@@ -209,6 +225,43 @@ def test_trace_bad_query(capsys, scenario_path, write_json):
     trace_path = write_json([])
     assert main(["trace", scenario_path, trace_path,
                  "--query", "believes 1 a"]) == 3
+
+
+AGREEMENT_TRACE = [
+    {"from": 1, "to": 2, "msg": "a"},
+    {"from": 2, "to": 1, "msg": "a.1"},
+]
+
+
+@pytest.mark.parametrize("query,is_query", [
+    ("knows 1 a", True),
+    ("knows 2 a.1", True),
+    ("knows 1 b", True),
+    ("ck a", True),
+    ("ck b", True),
+    ("knows 1 a..", False),
+    ("ck z", False),
+    ("believes 1 a", False),
+], ids=["knows-1", "knows-2", "knows-false", "ck-a", "ck-b",
+        "malformed-sentence", "unknown-fact", "not-a-query"])
+def test_trace_and_repl_answer_alike(capsys, monkeypatch, scenario_path,
+                                     write_json, query, is_query):
+    code = main(["trace", scenario_path, write_json(AGREEMENT_TRACE),
+                 "--query", query])
+    traced = capsys.readouterr()
+    tells = "".join(f"tell {e['from']} {e['to']} {e['msg']}\n"
+                    for e in AGREEMENT_TRACE)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(tells + query + "\n"))
+    assert main(["repl", scenario_path]) == 0
+    replied = capsys.readouterr().out.splitlines()
+    assert replied[:-1] == ["ok"] * len(AGREEMENT_TRACE)
+    if is_query:
+        assert code == 0 and traced.out.splitlines() == replied[-1:]
+        assert replied[-1] in ("true", "false")
+    else:
+        assert code == 3 and traced.err.startswith("error: ")
+        assert "Traceback" not in traced.err
+        assert replied[-1].startswith("error: ")
 
 
 def test_oracle_compare(capsys, scenario_path):

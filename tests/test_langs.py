@@ -129,6 +129,19 @@ def test_contains_cone_examples():
         contains_cone(ALL_WORDS, (3,))
 
 
+@pytest.mark.parametrize("walk", [
+    ALL_WORDS.dfa.accepts,
+    ALL_WORDS.contains,
+    lambda word: contains_cone(ALL_WORDS, word),
+    lambda word: prefixed(word, EPSILON),
+    lambda word: union_tail(EMPTY, word, 1, 2, False),
+], ids=["accepts", "contains", "contains_cone", "prefixed", "union_tail"])
+def test_word_walks_reject_the_same_bad_letter(walk):
+    with pytest.raises(ValueError, match=r"^letter must be 1 or 2, got 3$"):
+        walk((1, 3))
+    assert ALL_WORDS.dfa.path((1, 2, 2)) == [0, 0, 0, 0]
+
+
 def test_prefixed_examples():
     assert prefixed((), LETTER[1]) is LETTER[1]
     assert prefixed((2, 1), EPSILON) is from_regex("21")

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -123,10 +124,15 @@ def test_common_knowledge_understanding_limit():
         assert knows(result.state_b, sentence)
 
 
+@functools.lru_cache(maxsize=None)
+def cone_from_regex(suffix):
+    return concat(from_ast(word_regex(suffix)), ALL_WORDS)
+
+
 def ck_by_cone_inclusion(state_a, state_b, sentence):
     # the definition: the cone of the suffix, compiled from a regex, lies
     # inside both agents' languages for the fact
-    cone = concat(from_ast(word_regex(sentence.suffix)), ALL_WORDS)
+    cone = cone_from_regex(sentence.suffix)
     return (subset(cone, state_a.langs[sentence.fact])
             and subset(cone, state_b.langs[sentence.fact]))
 
