@@ -4,16 +4,16 @@ Everything funnels into one canonical form: a complete deterministic
 acceptor, minimized and renumbered breadth-first with letter 1 before
 letter 2. Two acceptors recognize the same language exactly when their
 canonical forms are structurally identical, which is what lets each
-language be interned as one object. Regexes compile through the same
-operations that combine acceptors (product, concatenation, star). An
-acceptor that only gains a few states on top of a minimal one is not
-minimized again: a `Register` merges each new state into an equal one.
+language be interned as one object. Union, concatenation and star each
+join their operands' transition rows and run the one subset construction,
+and regexes compile through those operations. An acceptor that only gains
+a few states on top of a minimal one is not minimized again: a `Register`
+merges each new state into an equal one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import or_
 
 from .regexes import Alt, Cat, Empty, Eps, Lit, Opt, Plus, Regex, Star
 
@@ -42,6 +42,15 @@ class Dfa:
         return self.accepting[self.path(word)[-1]]
 
 
+def product_dfa(a: Dfa, b: Dfa) -> Dfa:
+    """Canonical acceptor of the words of a or b: b's states follow a's,
+    and the run starts in both start states at once."""
+    n = len(a.delta)
+    delta = a.delta + tuple((n + s, n + t) for s, t in b.delta)
+    finals = {s for s, acc in enumerate(a.accepting + b.accepting) if acc}
+    return determinize(delta, {}, (0, n), finals)
+
+
 def concat_dfa(a: Dfa, b: Dfa) -> Dfa:
     """Canonical acceptor of a's words followed by b's words: b's states
     follow a's, and each accepting state of a also stands for b's start."""
@@ -49,7 +58,7 @@ def concat_dfa(a: Dfa, b: Dfa) -> Dfa:
     delta = a.delta + tuple((n + s, n + t) for s, t in b.delta)
     eps = {s: (n,) for s, acc in enumerate(a.accepting) if acc}
     finals = {n + s for s, acc in enumerate(b.accepting) if acc}
-    return determinize(delta, eps, 0, finals)
+    return determinize(delta, eps, (0,), finals)
 
 
 def star_dfa(a: Dfa) -> Dfa:
@@ -58,7 +67,7 @@ def star_dfa(a: Dfa) -> Dfa:
     state of a also stands for."""
     hub = len(a.delta)
     eps = {s: (hub,) for s, acc in enumerate(a.accepting) if acc}
-    return determinize(a.delta + (a.delta[0],), eps, hub, {hub})
+    return determinize(a.delta + (a.delta[0],), eps, (hub,), {hub})
 
 
 # Canonical acceptors of the regex leaves: minimal, complete and numbered
@@ -81,7 +90,7 @@ def compile_regex(r: Regex) -> Dfa:
         case Lit(letter) if letter in LETTER_DFA:
             return LETTER_DFA[letter]
         case Alt(a, b):
-            return product_dfa(compile_regex(a), compile_regex(b), or_)
+            return product_dfa(compile_regex(a), compile_regex(b))
         case Cat(a, b):
             return concat_dfa(compile_regex(a), compile_regex(b))
         case Star(body):
@@ -90,15 +99,15 @@ def compile_regex(r: Regex) -> Dfa:
             inner = compile_regex(body)
             return concat_dfa(inner, star_dfa(inner))
         case Opt(body):
-            return product_dfa(compile_regex(body), EPS_DFA, or_)
+            return product_dfa(compile_regex(body), EPS_DFA)
     raise TypeError(f"not a regex node: {r!r}")
 
 
 def determinize(delta: tuple[tuple[int, int], ...], eps: dict[int, tuple[int, ...]],
-                start: int, finals: set[int]) -> Dfa:
+                starts: tuple[int, ...], finals: set[int]) -> Dfa:
     """Subset construction over complete transition rows joined by epsilon
-    edges (eps[s]: the states s also stands for). Returns the canonical
-    minimal form."""
+    edges (eps[s]: the states s also stands for), run from all the start
+    states at once. Returns the canonical minimal form."""
 
     def closure(states) -> frozenset:
         out = set(states)
@@ -110,7 +119,7 @@ def determinize(delta: tuple[tuple[int, int], ...], eps: dict[int, tuple[int, ..
                     stack.append(nxt)
         return frozenset(out)
 
-    first = closure((start,))
+    first = closure(starts)
     index = {first: 0}
     order = [first]
     rows = []
@@ -244,28 +253,6 @@ class Register:
 
     def to_dfa(self, start: int) -> Dfa:
         return renumber(self.delta, self.accepting, start)
-
-
-def product_dfa(a: Dfa, b: Dfa, keep) -> Dfa:
-    """Reachable product of two complete DFAs; `keep` decides acceptance
-    from the two component flags. Returns the canonical minimal form."""
-    index = {(0, 0): 0}
-    order = [(0, 0)]
-    rows = []
-    i = 0
-    while i < len(order):
-        s, t = order[i]
-        row = []
-        for letter_index in (0, 1):
-            pair = (a.delta[s][letter_index], b.delta[t][letter_index])
-            if pair not in index:
-                index[pair] = len(order)
-                order.append(pair)
-            row.append(index[pair])
-        rows.append(tuple(row))
-        i += 1
-    accepting = tuple(keep(a.accepting[s], b.accepting[t]) for s, t in order)
-    return canonical_dfa(Dfa(tuple(rows), accepting))
 
 
 def dfa_to_dot(dfa: Dfa, name: str = "lang") -> str:

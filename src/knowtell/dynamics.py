@@ -20,15 +20,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from . import regexes
-from .langs import (
-    Lang,
-    concat,
-    from_ast,
-    solve_arden,
-    union,
-    union_tail,
-    without_empty_word,
-)
+from .langs import Lang, concat, from_ast, union, union_tail
 from .regexes import Lit, Regex, alt, cat, opt, regex_to_text
 from .sentences import Sentence, Word, check_agent
 from .states import KnowledgeState, ModelKind, Scenario, initial_state, knows
@@ -73,7 +65,8 @@ def _tell_tail(sender: int, receiver: int, understanding: bool) -> Regex:
 
 def step(state_a: KnowledgeState, state_b: KnowledgeState, event: TellEvent,
          model: ModelKind) -> tuple[KnowledgeState, KnowledgeState]:
-    """Apply one tell; the sender must actually know the message.
+    """Apply one tell; the sender must actually know the message, and the
+    states must be side 1's then side 2's (ValueError otherwise).
 
     The receiver's language for the told fact grows by suffix.T, with T
     the tail that `_tell_tail` writes as a regex; `langs.union_tail` builds
@@ -81,6 +74,9 @@ def step(state_a: KnowledgeState, state_b: KnowledgeState, event: TellEvent,
     the receiver already knows returns both states unchanged: the very
     same objects.
     """
+    if state_a.agent != 1 or state_b.agent != 2:
+        raise ValueError("step takes the states of sides 1 and 2 in that order, "
+                         f"got sides {state_a.agent} and {state_b.agent}")
     sender_state = state_a if event.sender == 1 else state_b
     receiver_state = state_b if event.sender == 1 else state_a
     if not knows(sender_state, event.message):
@@ -129,9 +125,9 @@ def _solve_fact(in_a: bool, in_b: bool, understanding: bool):
     its own mark, if it starts with the fact) plus what the other side y
     holds, followed by the tail T_x of a tell to x. Substituting X_y gives
     X_x = (B_x + B_y.T_x) + X_x.(T_y.T_x), whose least solution is
-    start.loop* by the Arden rule once the empty word is taken out of the
-    loop, which leaves loop* as it is. Both results are then checked
-    against the coupled defining equations, exactly.
+    start.loop* by the Arden rule. Each side's language and printed text
+    come from that one regex, and both languages are then checked against
+    the coupled defining equations, exactly.
     """
     base = {1: regexes.star(Lit(1)) if in_a else regexes.EMPTY,
             2: regexes.star(Lit(2)) if in_b else regexes.EMPTY}
@@ -141,8 +137,9 @@ def _solve_fact(in_a: bool, in_b: bool, understanding: bool):
     for x, y in ((1, 2), (2, 1)):
         start = alt(base[x], cat(base[y], tail[x]))
         loop = cat(tail[y], tail[x])
-        langs[x] = solve_arden(from_ast(start), without_empty_word(from_ast(loop)))
-        texts[x] = regex_to_text(cat(start, regexes.star(loop)))
+        solution = cat(start, regexes.star(loop))
+        langs[x] = from_ast(solution)
+        texts[x] = regex_to_text(solution)
 
     # substitution check against the defining fixpoint equations
     for x, y in ((1, 2), (2, 1)):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections import deque
 from functools import lru_cache
-from operator import or_
 
 from . import regexes
 from .automata import (Dfa, Register, compile_regex, concat_dfa, dfa_to_dot,
@@ -46,10 +45,6 @@ class Lang:
     @property
     def accepts_empty(self) -> bool:
         return self.dfa.accepting[0]
-
-    @property
-    def is_empty(self) -> bool:
-        return not any(self.dfa.accepting)
 
     def __repr__(self) -> str:
         n = count_words(self, 3)
@@ -99,7 +94,7 @@ LETTER: dict[int, Lang]
 def union(a: Lang, b: Lang) -> Lang:
     if a is b:
         return a
-    return Lang(product_dfa(a.dfa, b.dfa, or_))
+    return Lang(product_dfa(a.dfa, b.dfa))
 
 
 def _own_loop_accepts(lang: Lang, state: int, own: int) -> bool:
@@ -163,11 +158,6 @@ def union_tail(lang: Lang, word: Word, mark: int, own: int, optional: bool) -> L
     return Lang(register.to_dfa(state))
 
 
-def without_empty_word(a: Lang) -> Lang:
-    """a minus the empty word."""
-    return Lang(product_dfa(a.dfa, EPSILON.dfa, lambda x, y: x and not y))
-
-
 def concat(a: Lang, b: Lang) -> Lang:
     return Lang(concat_dfa(a.dfa, b.dfa))
 
@@ -185,28 +175,9 @@ def option(a: Lang) -> Lang:
 
 
 def subset(a: Lang, b: Lang) -> bool:
-    """Exact inclusion: no reachable product state accepts in a but not b.
-    Pairs whose a-side is dead (rejecting, looping on both letters) are not
-    expanded, so the walk stays within the live part of a."""
-    if a is b:
-        return True
-    delta_a, accepting_a = a.dfa.delta, a.dfa.accepting
-    delta_b, accepting_b = b.dfa.delta, b.dfa.accepting
-    seen = {(0, 0)}
-    stack = [(0, 0)]
-    while stack:
-        s, t = stack.pop()
-        if accepting_a[s]:
-            if not accepting_b[t]:
-                return False
-        elif delta_a[s] == (s, s):
-            continue
-        for letter_index in (0, 1):
-            pair = (delta_a[s][letter_index], delta_b[t][letter_index])
-            if pair not in seen:
-                seen.add(pair)
-                stack.append(pair)
-    return True
+    """Exact inclusion: a lies inside b exactly when their union is b, and
+    interning makes that an identity test."""
+    return union(a, b) is b
 
 
 def contains_cone(lang: Lang, word: Word) -> bool:

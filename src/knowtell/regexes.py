@@ -231,6 +231,8 @@ class _Parser:
 
 def parse_regex(text: str) -> Regex:
     """Parse regex text; raises RegexError with the offending position."""
+    if not isinstance(text, str):
+        raise RegexError(f"expected regex text, got {type(text).__name__}", 0)
     parser = _Parser(text)
     node = parser.parse_alt()
     if parser.pos != len(text):

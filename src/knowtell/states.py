@@ -12,7 +12,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .langs import EMPTY, LETTER, Lang, concat, contains_cone, star, subset
+from .langs import EMPTY, LETTER, Lang, contains_cone, star
 from .sentences import Sentence, check_agent, check_fact
 
 
@@ -157,8 +157,3 @@ def project_success(state_a: KnowledgeState, state_b: KnowledgeState,
         scenario.facts
     )
 
-
-def own_suffix_closed(state: KnowledgeState) -> bool:
-    """Does appending the agent's own mark stay inside every fact language?"""
-    own = LETTER[state.agent]
-    return all(subset(concat(lang, own), lang) for lang in state.langs.values())

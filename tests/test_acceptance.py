@@ -124,7 +124,7 @@ def test_criterion_5_ck_conserved_on_finite_traces():
     with _Criterion(5, "common knowledge of basic facts is never obtained "
                        "and never lost along seeded finite traces",
                     budget=10.0) as c:
-        report = check_ck_dynamics(traces=100, max_len=10, seed=42)
+        report = check_ck_dynamics(traces=100, seed=42)
         assert report.scenarios == 32
         assert report.violations == ()
         assert not c.over_budget()
@@ -147,7 +147,7 @@ def test_criterion_6_oracle_equivalence():
 def test_criterion_7_fixpoint_stability():
     with _Criterion(7, "sampled tells against saturated states change "
                        "nothing", budget=10.0) as c:
-        report = check_fixpoint_stability(tells=50)
+        report = check_fixpoint_stability()
         assert report.scenarios == 10
         assert report.violations == ()
         assert not c.over_budget()

@@ -51,10 +51,10 @@ def test_language_equivalence_smallest_grid():
 
 
 def test_ck_dynamics_passes_and_is_seeded():
-    report = check_ck_dynamics(traces=20, max_len=8, seed=42)
+    report = check_ck_dynamics(traces=20, seed=42)
     assert report.status == "pass"
     assert report.scenarios == 32  # 16 subset pairs, both models
-    again = check_ck_dynamics(traces=20, max_len=8, seed=42)
+    again = check_ck_dynamics(traces=20, seed=42)
     assert (report.scenarios, report.violations) == (
         again.scenarios, again.violations
     )
@@ -75,7 +75,7 @@ def test_success_theorems_pass_with_gap_notes():
 
 
 def test_fixpoint_stability_passes():
-    report = check_fixpoint_stability(tells=20)
+    report = check_fixpoint_stability()
     assert report.status == "pass"
     assert report.scenarios == 10
 

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from knowtell import dynamics, regexes
 from knowtell.checks import _engine_scenario, _sample_tell
 from knowtell.dynamics import (
     TellError,
@@ -15,6 +16,7 @@ from knowtell.dynamics import (
 )
 from knowtell.langs import (
     ALL_WORDS,
+    EMPTY,
     LETTER,
     concat,
     enumerate_words,
@@ -26,6 +28,7 @@ from knowtell.langs import (
     subset,
     union,
 )
+from knowtell.regexes import Cat
 from knowtell.sentences import Sentence, SentenceError, parse_sentence
 from knowtell.states import (
     ModelKind,
@@ -34,8 +37,13 @@ from knowtell.states import (
     initial_state,
     knows,
     language_equal,
-    own_suffix_closed,
 )
+
+
+def own_suffix_closed(state):
+    # appending the agent's own mark stays inside every fact language
+    own = LETTER[state.agent]
+    return all(subset(concat(lang, own), lang) for lang in state.langs.values())
 
 
 def test_tell_event_validation():
@@ -95,6 +103,17 @@ def test_step_requires_truthful_sender(worked_example):
     with pytest.raises(TellError):
         step(state_a, state_b, TellEvent(2, 1, parse_sentence("a")),
              ModelKind.UNDERSTANDING)
+
+
+def test_step_requires_the_sides_in_order():
+    scenario = Scenario.make(["a"], ["a"], ["a"], "communication")
+    state_a = initial_state(1, scenario)
+    state_b = initial_state(2, scenario)
+    event = TellEvent(1, 2, parse_sentence("a"))
+    # swapped, side 2's state would take side 1's gain a.1.2
+    for first, second in ((state_b, state_a), (state_a, state_a), (state_b, state_b)):
+        with pytest.raises(ValueError, match="sides 1 and 2 in that order"):
+            step(first, second, event, scenario.model)
 
 
 def test_step_leaves_sender_untouched(worked_example):
@@ -273,8 +292,8 @@ def test_saturate_empty_sides():
     scenario = Scenario.make(["a", "b"], [], [], "understanding")
     result = saturate(scenario)
     for fact in scenario.facts:
-        assert result.state_a.langs[fact].is_empty
-        assert result.state_b.langs[fact].is_empty
+        assert result.state_a.langs[fact] is EMPTY
+        assert result.state_b.langs[fact] is EMPTY
     assert language_equal(result.state_a, result.state_b)
 
 
@@ -388,6 +407,19 @@ def test_solved_texts_are_pinned_and_exact(in_a, in_b, model, text_a, text_b):
     assert (result.regexes[1]["a"], result.regexes[2]["a"]) == (text_a, text_b)
     assert from_regex(text_a) is result.state_a.langs["a"]
     assert from_regex(text_b) is result.state_b.langs["a"]
+
+
+def test_closed_form_check_rejects_a_wrong_solution(worked_example, monkeypatch):
+    # with star(loop) dropped from the solution, start alone is not a fixpoint
+    real_star = regexes.star
+    monkeypatch.setattr(regexes, "star",
+                        lambda r: regexes.EPS if isinstance(r, Cat) else real_star(r))
+    dynamics._solve_fact.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="failed its defining equation"):
+            saturate(worked_example)
+    finally:
+        dynamics._solve_fact.cache_clear()
 
 
 def test_simplified_per_fact_claim_differs_from_fixpoint(worked_example):

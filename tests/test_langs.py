@@ -34,7 +34,6 @@ from knowtell.langs import (
     to_dot,
     union,
     union_tail,
-    without_empty_word,
     word_at,
 )
 from knowtell.regexes import word_regex
@@ -390,8 +389,7 @@ def test_module_constants_are_canonical():
 def test_every_operation_returns_canonical_acceptors(r, s, word):
     a, b = from_ast(r), from_ast(s)
     for lang in (a, b, union(a, b), concat(a, b), star(a), prefixed(word, a),
-                 without_empty_word(a), union_tail(a, word, 1, 2, True),
-                 union_tail(b, word, 2, 1, False)):
+                 union_tail(a, word, 1, 2, True), union_tail(b, word, 2, 1, False)):
         assert canonical_dfa(lang.dfa) == lang.dfa
 
 

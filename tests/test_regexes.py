@@ -64,6 +64,10 @@ def test_parse_structure():
         pytest.param("(" * (MAX_NESTING + 1) + "1" + ")" * (MAX_NESTING + 1),
                      MAX_NESTING, id="nested-one-too-deep"),
         pytest.param("(" * 400 + "1" + ")" * 400, MAX_NESTING, id="nested-400"),
+        # anything that is not a str
+        (["1"], 0),
+        (None, 0),
+        (b"1", 0),
     ],
 )
 def test_parse_rejects(text, position):

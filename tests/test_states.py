@@ -6,7 +6,7 @@ import pytest
 
 from knowtell.checks import _sample_tell, subsets_of
 from knowtell.dynamics import saturate, step
-from knowtell.langs import ALL_WORDS, concat, from_ast, from_regex, subset
+from knowtell.langs import ALL_WORDS, LETTER, concat, from_ast, from_regex, subset
 from knowtell.oracle import bounded_closure
 from knowtell.regexes import word_regex
 from knowtell.sentences import Sentence, parse_sentence
@@ -21,10 +21,15 @@ from knowtell.states import (
     knows,
     known_facts,
     language_equal,
-    own_suffix_closed,
     project_success,
     validate_scenario,
 )
+
+
+def own_suffix_closed(state):
+    # appending the agent's own mark stays inside every fact language
+    own = LETTER[state.agent]
+    return all(subset(concat(lang, own), lang) for lang in state.langs.values())
 
 
 def test_scenario_validation():
