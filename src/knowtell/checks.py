@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .dynamics import TellEvent, saturate, step
-from .langs import count_words, distinguishing_word, word_at
+from .langs import Lang, cone_word, count_words, distinguishing_word, word_at
 from .oracle import compare_symbolic
 from .sentences import Sentence, format_sentence, other_agent
 from .states import (
@@ -32,10 +32,11 @@ FACT_POOL = ("a", "b", "c")
 # depth of the message suffixes of random tells: shallow messages already
 # exercise cross-references, and the seeded reports depend on this value
 SAMPLE_DEPTH = 3
-# the longest random trace of ck-dynamics, and the tells and seed with which
-# fixpoint-stability probes each saturated pair
+# the longest random trace of ck-dynamics, and the tells, message depth and
+# seed with which fixpoint-stability probes each saturated pair
 TRACE_LENGTH = 10
 STABILITY_TELLS = 50
+STABILITY_DEPTH = 5
 STABILITY_SEED = 2024
 
 
@@ -126,20 +127,29 @@ def check_language_equivalence_props(max_facts: int = 3) -> CheckReport:
     return _finish("language-equivalence", count, violations, started)
 
 
-def _sample_tell(state_a: KnowledgeState, state_b: KnowledgeState,
-                 facts: Sequence[str], rng: random.Random,
-                 depth: int = SAMPLE_DEPTH) -> TellEvent | None:
-    """A uniformly random truthful tell with message depth <= depth: one
-    rng.randrange over the candidates ranked by sender, fact, then (length,
-    word), which draws exactly as rng.choice over that ranked list would."""
-    blocks = [(state, fact, count_words(state.langs[fact], depth))
-              for state in (state_a, state_b) for fact in facts]
-    total = sum(n for _, _, n in blocks)
+def _block_counts(state_a: KnowledgeState, state_b: KnowledgeState,
+                  facts: Sequence[str], depth: int) -> list[int]:
+    """How many truthful messages of depth <= depth each (sender, fact) block
+    offers, in the order a draw ranks them: side 1's facts, then side 2's."""
+    return [count_words(state.langs[fact], depth)
+            for state in (state_a, state_b) for fact in facts]
+
+
+def _draw_tell(state_a: KnowledgeState, state_b: KnowledgeState,
+               facts: Sequence[str], counts: Sequence[int], rng: random.Random,
+               depth: int) -> TellEvent | None:
+    """A uniformly random truthful tell with message depth <= depth, given
+    the states' `_block_counts` at that depth: one rng.randrange over the
+    candidates ranked by sender, fact, then (length, word), which draws
+    exactly as rng.choice over that ranked list would."""
+    total = sum(counts)
     if not total:
         return None
     index = rng.randrange(total)
-    for state, fact, n in blocks:
+    for block, n in enumerate(counts):
         if index < n:
+            state = state_b if block >= len(facts) else state_a
+            fact = facts[block % len(facts)]
             message = Sentence(fact, word_at(state.langs[fact], depth, index))
             return TellEvent(state.agent, other_agent(state.agent), message)
         index -= n
@@ -147,10 +157,19 @@ def _sample_tell(state_a: KnowledgeState, state_b: KnowledgeState,
 
 def check_ck_dynamics(traces: int = 100, seed: int = 42) -> CheckReport:
     """Along random truthful traces, the set of facts that are common
-    knowledge stays empty at every prefix and never shrinks, in both models.
+    knowledge stays empty at every prefix and never shrinks, in both models;
+    and no language either side reaches holds the whole cone of a sentence,
+    which rules out common knowledge of every sentence, not only bare facts.
+    The cone test is exact: a finite trace leaves each language an own-mark
+    chain plus finitely many w.T, and none of those holds a cone.
 
     Covers every subset pair over the two-fact set; reproducible from the
     seed alone. Zero traces is refused: that check would pass unexercised.
+
+    A tell grows at most one language, and interning shows which by
+    identity. So a trace carries its block counts and one answer per fact
+    and re-derives only what a tell changed; the draws are exactly those of
+    a full recount before each one.
     """
     if traces < 1:
         raise ValueError(f"traces must be >= 1, got {traces}")
@@ -159,43 +178,79 @@ def check_ck_dynamics(traces: int = 100, seed: int = 42) -> CheckReport:
     violations: list[Violation] = []
     count = 0
     facts = FACT_POOL[:2]
+    bare = {f: Sentence(f) for f in facts}
+
+    def report(trace_index: int, step_index: int, text: str) -> None:
+        violations.append(Violation(
+            scenario.describe(), f"trace {trace_index} prefix {step_index}: {text}"
+        ))
+
+    def scan(state: KnowledgeState, fact: str, trace_index: int,
+             step_index: int) -> None:
+        # a language is searched once per scenario: one set for the whole
+        # run would hold every language at once and raise the peak memory
+        scanned.add(state.langs[fact])
+        word = cone_word(state.langs[fact])
+        if word is not None:
+            report(trace_index, step_index,
+                   f"side {state.agent}'s language for {fact} holds every "
+                   f"extension of '{format_sentence(Sentence(fact, word))}'")
+
     for model in (ModelKind.COMMUNICATION, ModelKind.UNDERSTANDING):
         for side_a in subsets_of(facts):
             for side_b in subsets_of(facts):
                 scenario = Scenario.make(facts, side_a, side_b, model)
                 count += 1
+                scanned: set[Lang] = set()
+                start = (initial_state(1, scenario), initial_state(2, scenario))
+                for state in start:
+                    for fact in facts:
+                        if state.langs[fact] not in scanned:
+                            scan(state, fact, 0, 0)
+                start_counts = _block_counts(*start, facts, SAMPLE_DEPTH)
+                start_ck = frozenset(
+                    f for f in facts if common_knowledge(*start, bare[f])
+                )
                 for trace_index in range(traces):
                     length = rng.randint(0, TRACE_LENGTH)
-                    state_a = initial_state(1, scenario)
-                    state_b = initial_state(2, scenario)
-                    previous: frozenset[str] = frozenset()
+                    state_a, state_b = start
+                    counts = list(start_counts)
+                    recount: dict[int, Lang] = {}  # block -> its grown language
+                    ck_set, previous = start_ck, frozenset()
                     for step_index in range(length + 1):
-                        ck_set = frozenset(
-                            f for f in facts
-                            if common_knowledge(state_a, state_b, Sentence(f))
-                        )
-                        where = f"trace {trace_index} prefix {step_index}"
                         if ck_set:
-                            violations.append(Violation(
-                                scenario.describe(),
-                                f"{where}: common knowledge of "
-                                f"{{{','.join(sorted(ck_set))}}} on a finite trace",
-                            ))
+                            report(trace_index, step_index,
+                                   f"common knowledge of "
+                                   f"{{{','.join(sorted(ck_set))}}} on a finite trace")
                         if not previous <= ck_set:
-                            violations.append(Violation(
-                                scenario.describe(),
-                                f"{where}: common knowledge lost: "
-                                f"{{{','.join(sorted(previous - ck_set))}}}",
-                            ))
+                            report(trace_index, step_index,
+                                   f"common knowledge lost: "
+                                   f"{{{','.join(sorted(previous - ck_set))}}}")
                         previous = ck_set
                         if step_index == length:
                             break
-                        event = _sample_tell(state_a, state_b, facts, rng)
+                        for block, lang in recount.items():
+                            counts[block] = count_words(lang, SAMPLE_DEPTH)
+                        recount.clear()
+                        event = _draw_tell(state_a, state_b, facts, counts, rng,
+                                           SAMPLE_DEPTH)
                         if event is None:
                             break
-                        state_a, state_b = step(
-                            state_a, state_b, event, scenario.model
-                        )
+                        after = step(state_a, state_b, event, scenario.model)
+                        for side, old, new in zip((0, 1), (state_a, state_b), after):
+                            if new is old:
+                                continue
+                            for i, fact in enumerate(facts):
+                                lang = new.langs[fact]
+                                if lang is old.langs[fact]:
+                                    continue
+                                recount[side * len(facts) + i] = lang
+                                if lang not in scanned:
+                                    scan(new, fact, trace_index, step_index + 1)
+                                if (common_knowledge(*after, bare[fact])
+                                        != (fact in ck_set)):
+                                    ck_set ^= {fact}
+                        state_a, state_b = after
     return _finish("ck-dynamics", count, violations, started)
 
 
@@ -288,8 +343,11 @@ def check_fixpoint_stability(*, disable_understanding: bool = False) -> CheckRep
         engine = _engine_scenario(scenario, disable_understanding)
         result = saturate(engine)
         state_a, state_b = result.state_a, result.state_b
+        # no tell is kept, so the counts hold for every draw
+        counts = _block_counts(state_a, state_b, facts, STABILITY_DEPTH)
         for _ in range(STABILITY_TELLS):
-            event = _sample_tell(state_a, state_b, facts, rng, depth=5)
+            event = _draw_tell(state_a, state_b, facts, counts, rng,
+                               STABILITY_DEPTH)
             if event is None:
                 break
             after_a, after_b = step(state_a, state_b, event, engine.model)

@@ -124,6 +124,7 @@ def emit_report(reports: Sequence[CheckReport], fmt: str = "text") -> str:
                     {"scenario": v.scenario, "witness": v.witness}
                     for v in r.violations
                 ],
+                "notes": list(r.notes),
                 "status": r.status,
                 "millis": r.millis,
             }

@@ -187,6 +187,25 @@ def contains_cone(lang: Lang, word: Word) -> bool:
     return lang.dfa.accepting[state] and lang.dfa.delta[state] == (state, state)
 
 
+def cone_word(lang: Lang) -> Word | None:
+    """The shortest word (letter 1 before 2) whose whole cone lang holds, or
+    None when it holds none: a breadth-first walk to the universal state."""
+    delta, accepting = lang.dfa.delta, lang.dfa.accepting
+    if not any(accepting[s] and row == (s, s) for s, row in enumerate(delta)):
+        return None
+    queue = deque([((), 0)])
+    seen = {0}
+    while queue:
+        word, state = queue.popleft()
+        if accepting[state] and delta[state] == (state, state):
+            return word
+        for letter, after in ((1, delta[state][0]), (2, delta[state][1])):
+            if after not in seen:
+                seen.add(after)
+                queue.append((word + (letter,), after))
+    return None
+
+
 # Enumeration (and the oracle's closure) grow as 2^(depth+1); at depth 16 the
 # worked example already peaks near 110 MB, so anything deeper is refused.
 MAX_ORACLE_DEPTH = 16

@@ -1,14 +1,20 @@
 import dataclasses
+import hashlib
 import itertools
 import random
 
 import pytest
 
+from knowtell import checks
 from knowtell.checks import (
     FACT_POOL,
+    SAMPLE_DEPTH,
     STABILITY_SCENARIOS,
+    TRACE_LENGTH,
     CheckConfig,
-    _sample_tell,
+    Violation,
+    _block_counts,
+    _draw_tell,
     check_ck_dynamics,
     check_fixpoint_stability,
     check_language_equivalence_props,
@@ -19,8 +25,15 @@ from knowtell.checks import (
     subsets_of,
 )
 from knowtell.dynamics import TellEvent, saturate, step
-from knowtell.sentences import Sentence
-from knowtell.states import ModelKind, Scenario, initial_state
+from knowtell.langs import ALL_WORDS, cone, contains_cone, count_words, union
+from knowtell.sentences import Sentence, format_sentence
+from knowtell.states import KnowledgeState, ModelKind, Scenario, initial_state
+
+
+def sample_tell(state_a, state_b, facts, rng, depth):
+    # one draw from fresh block counts, as the checks make it
+    counts = _block_counts(state_a, state_b, facts, depth)
+    return _draw_tell(state_a, state_b, facts, counts, rng, depth)
 
 
 def test_subsets_order_is_stable():
@@ -160,7 +173,7 @@ def reference_sample_tell(state_a, state_b, facts, rng, depth):
 def assert_samplers_agree(state_a, state_b, facts, seed, depth, draws):
     fast, reference = random.Random(seed), random.Random(seed)
     for _ in range(draws):
-        event = _sample_tell(state_a, state_b, facts, fast, depth)
+        event = sample_tell(state_a, state_b, facts, fast, depth)
         assert event == reference_sample_tell(state_a, state_b, facts,
                                               reference, depth)
         assert fast.getstate() == reference.getstate()
@@ -178,7 +191,7 @@ def test_sampler_matches_reference_along_traces():
                 for _ in range(8):
                     seed = rng.randrange(2 ** 32)
                     assert_samplers_agree(state_a, state_b, facts, seed, 3, 5)
-                    event = _sample_tell(state_a, state_b, facts, rng, 3)
+                    event = sample_tell(state_a, state_b, facts, rng, 3)
                     if event is None:
                         break
                     state_a, state_b = step(state_a, state_b, event, model)
@@ -189,3 +202,149 @@ def test_sampler_matches_reference_on_saturated_states():
         result = saturate(Scenario.make(facts, side_a, side_b, model))
         assert_samplers_agree(result.state_a, result.state_b, facts,
                               len(facts), 5, 20)
+
+
+def told_stream_digest(monkeypatch, run):
+    """SHA-256 over every (sender, fact, suffix, model) that run passes to
+    the check suite's step."""
+    digest = hashlib.sha256()
+
+    def recording(state_a, state_b, event, model):
+        suffix = "".join(map(str, event.message.suffix))
+        digest.update(f"{event.sender} {event.message.fact} {suffix} "
+                      f"{model.value}\n".encode())
+        return step(state_a, state_b, event, model)
+
+    monkeypatch.setattr(checks, "step", recording)
+    run()
+    return digest.hexdigest()
+
+
+# taken from the sampler that recounted every block before each draw and
+# asked common knowledge of both facts at every prefix
+@pytest.mark.parametrize("seed, pinned", [
+    (42, "caa91132791b29f640d5682246cf0ef47019f27b286ac393c040513e5daa5a3f"),
+    (1, "6b926e4a8e3924aef13e09e632612692b07bc3690d8e071a33f38631b1c01b8b"),
+    (7, "a44a1950e66acb544914a95f15ffb0c24b94728dd68d12f5559b2b26585c773c"),
+], ids=["seed42", "seed1", "seed7"])
+def test_ck_dynamics_tell_stream_is_pinned(monkeypatch, seed, pinned):
+    digest = told_stream_digest(monkeypatch, lambda: check_ck_dynamics(100, seed))
+    assert digest == pinned
+
+
+def test_fixpoint_stability_tell_stream_is_pinned(monkeypatch):
+    assert told_stream_digest(monkeypatch, check_fixpoint_stability) == (
+        "700b6eca4f1e1cc842bbe6ce11db09e087942290651be6c2e9e335c1c5161cf9"
+    )
+
+
+def test_ck_dynamics_counts_only_the_languages_it_draws_from(monkeypatch):
+    # a grown block is counted when the next draw needs it, so the last
+    # states of a trace are never counted
+    counted, drawn_from = set(), set()
+
+    def counting(lang, depth):
+        counted.add(lang)
+        return count_words(lang, depth)
+
+    def drawing(state_a, state_b, facts, counts, rng, depth):
+        drawn_from.update(s.langs[f] for s in (state_a, state_b) for f in facts)
+        return _draw_tell(state_a, state_b, facts, counts, rng, depth)
+
+    monkeypatch.setattr(checks, "count_words", counting)
+    monkeypatch.setattr(checks, "_draw_tell", drawing)
+    check_ck_dynamics(20, 42)
+    assert counted == drawn_from
+
+
+def growing_tells(traces, seed):
+    """Every tell of check_ck_dynamics(traces, seed) that grows a language,
+    replayed from scratch: (scenario, trace, the prefix it leads to, event,
+    the pair it leads to)."""
+    rng = random.Random(seed)
+    facts = FACT_POOL[:2]
+    for model in (ModelKind.COMMUNICATION, ModelKind.UNDERSTANDING):
+        for side_a, side_b in itertools.product(subsets_of(facts), repeat=2):
+            scenario = Scenario.make(facts, side_a, side_b, model)
+            for trace_index in range(traces):
+                length = rng.randint(0, TRACE_LENGTH)
+                state_a, state_b = initial_state(1, scenario), initial_state(2, scenario)
+                for step_index in range(length):
+                    event = sample_tell(state_a, state_b, facts, rng, SAMPLE_DEPTH)
+                    if event is None:
+                        break
+                    after = step(state_a, state_b, event, model)
+                    if after != (state_a, state_b):
+                        yield scenario, trace_index, step_index + 1, event, after
+                    state_a, state_b = after
+
+
+def mutant_step(k, mutate):
+    """step, except that the k-th tell that grows a language also applies
+    mutate to the pair it returns."""
+    grown = 0
+
+    def mutant(state_a, state_b, event, model):
+        nonlocal grown
+        after = step(state_a, state_b, event, model)
+        if after[0] is state_a and after[1] is state_b:
+            return after
+        grown += 1
+        return mutate(after, event) if grown == k else after
+
+    return mutant
+
+
+def all_words_on_both_sides(after, event):
+    fact = event.message.fact
+    return tuple(KnowledgeState(s.agent, {**s.langs, fact: ALL_WORDS})
+                 for s in after)
+
+
+def cone_at(suffix):
+    def add_cone(after, event):
+        fact = event.message.fact
+        receiver = after[event.receiver - 1]
+        grown = KnowledgeState(receiver.agent, {
+            **receiver.langs, fact: union(receiver.langs[fact], cone(suffix)),
+        })
+        return (grown, after[1]) if event.receiver == 1 else (after[0], grown)
+    return add_cone
+
+
+@pytest.mark.parametrize("k", [1, 273, 1624])
+def test_ck_dynamics_sees_common_knowledge_made_by_a_step(monkeypatch, k):
+    # kills a check that does not ask common knowledge again after a step
+    scenario, trace, prefix, event, _ = next(
+        itertools.islice(growing_tells(20, 42), k - 1, None))
+    monkeypatch.setattr(checks, "step", mutant_step(k, all_words_on_both_sides))
+    report = check_ck_dynamics(20, 42)
+    ck_found = [v for v in report.violations if "common knowledge" in v.witness]
+    assert ck_found[0] == Violation(
+        scenario.describe(),
+        f"trace {trace} prefix {prefix}: common knowledge of "
+        f"{{{event.message.fact}}} on a finite trace",
+    )
+
+
+@pytest.mark.parametrize("k, suffix", [(1, (1,)), (602, (2, 1, 2)), (2289, (1, 1))])
+def test_ck_dynamics_sees_a_cone_behind_a_suffix(monkeypatch, k, suffix):
+    # only one side holds the cone, and not at the bare fact: no bare-fact ck
+    # answer changes, so only the whole-state invariant can see it
+    scenario, trace, prefix, event, after = next(
+        itertools.islice(growing_tells(20, 42), k - 1, None))
+    mutate = cone_at(suffix)
+    monkeypatch.setattr(checks, "step", mutant_step(k, mutate))
+    report = check_ck_dynamics(20, 42)
+    assert not any("common knowledge" in v.witness for v in report.violations)
+    fact = event.message.fact
+    held = mutate(after, event)[event.receiver - 1].langs[fact]
+    words = (w for n in range(len(suffix) + 1)
+             for w in itertools.product((1, 2), repeat=n))
+    shortest = next(w for w in words if contains_cone(held, w))
+    assert report.violations[0] == Violation(
+        scenario.describe(),
+        f"trace {trace} prefix {prefix}: side {event.receiver}'s language for "
+        f"{fact} holds every extension of "
+        f"'{format_sentence(Sentence(fact, shortest))}'",
+    )

@@ -112,11 +112,24 @@ def test_check_json_schema(capsys):
     out = capsys.readouterr().out
     payload = json.loads(out)
     assert isinstance(payload, list) and len(payload) == 5
-    expected_keys = ["check", "scenarios", "violations", "status", "millis"]
+    expected_keys = ["check", "scenarios", "violations", "notes", "status",
+                     "millis"]
     ordered = json.loads(out, object_pairs_hook=list)
     for entry in ordered:
         assert [key for key, _ in entry] == expected_keys
     assert all(item["status"] == "pass" for item in payload)
+
+
+def test_check_json_carries_the_text_notes(capsys):
+    args = ["check", "--max-facts", "2", "--traces", "5", "--depth", "3"]
+    assert main(args) == 0
+    text_notes = [line.split("note: ", 1)[1]
+                  for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("     note: ")]
+    assert main(args + ["--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert text_notes
+    assert [n for item in payload for n in item["notes"]] == text_notes
 
 
 def test_check_mutated_fails_with_witness(capsys):

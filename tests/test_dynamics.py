@@ -4,7 +4,7 @@ import random
 import pytest
 
 from knowtell import dynamics, regexes
-from knowtell.checks import _engine_scenario, _sample_tell
+from knowtell.checks import _block_counts, _draw_tell, _engine_scenario
 from knowtell.dynamics import (
     TellError,
     TellEvent,
@@ -38,6 +38,12 @@ from knowtell.states import (
     knows,
     language_equal,
 )
+
+
+def sample_tell(state_a, state_b, facts, rng, depth):
+    # one draw from fresh block counts, as the checks make it
+    counts = _block_counts(state_a, state_b, facts, depth)
+    return _draw_tell(state_a, state_b, facts, counts, rng, depth)
 
 
 def own_suffix_closed(state):
@@ -151,7 +157,7 @@ def test_step_is_union_with_gain_or_unchanged(model):
         state_a = initial_state(1, scenario)
         state_b = initial_state(2, scenario)
         for _ in range(120):
-            event = _sample_tell(state_a, state_b, scenario.facts, rng, 3)
+            event = sample_tell(state_a, state_b, scenario.facts, rng, 3)
             if event is None:
                 break
             receiver = state_b if event.sender == 1 else state_a
@@ -188,7 +194,7 @@ def test_traced_acceptors_and_ck_answers_are_pinned():
             pairs = []
             state_a, state_b = initial_state(1, scenario), initial_state(2, scenario)
             for _ in range(120):
-                event = _sample_tell(state_a, state_b, scenario.facts, rng, 6)
+                event = sample_tell(state_a, state_b, scenario.facts, rng, 6)
                 state_a, state_b = step(state_a, state_b, event, model)
                 pairs.append((state_a, state_b))
             limit = saturate(scenario)

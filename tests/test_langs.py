@@ -18,6 +18,7 @@ from knowtell.langs import (
     Lang,
     concat,
     cone,
+    cone_word,
     contains_cone,
     count_words,
     distinguishing_word,
@@ -257,6 +258,15 @@ def test_from_word_singleton(word):
     assert enumerate_words(lang, len(word) + 2) == {word}
 
 
+def test_cone_word_examples():
+    assert cone_word(ALL_WORDS) == ()
+    assert cone_word(from_regex("1(1|2)*")) == (1,)
+    assert cone_word(union(cone((2, 2)), cone((1, 2, 1)))) == (2, 2)
+    assert cone_word(union(cone((2, 1)), cone((1, 2)))) == (1, 2)
+    assert cone_word(from_regex("1*|2(1|2)*2")) is None
+    assert cone_word(EMPTY) is None
+
+
 words_st = st.lists(st.sampled_from((1, 2)), max_size=6).map(tuple)
 
 
@@ -281,6 +291,18 @@ def test_contains_cone_matches_cone_inclusion(lang, word, cut):
     widened = union(lang, regex_route(word[:cut], ALL_WORDS))
     assert contains_cone(widened, word)
     assert subset(regex_route(word, ALL_WORDS), widened)
+
+
+@settings(max_examples=60, deadline=None)
+@given(langs_st, words_st)
+def test_cone_word_is_the_first_word_whose_cone_is_held(lang, word):
+    for held in (lang, union(lang, cone(word))):
+        found = cone_word(held)
+        bound = len(word) if found is None else len(found)
+        earlier = itertools.takewhile(lambda w: w != found, all_words(bound))
+        assert not any(contains_cone(held, w) for w in earlier)
+        assert found is None or contains_cone(held, found)
+    assert cone_word(union(lang, cone(word))) is not None
 
 
 def subset_unpruned(a, b):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from knowtell.checks import _sample_tell, subsets_of
+from knowtell.checks import _block_counts, _draw_tell, subsets_of
 from knowtell.dynamics import saturate, step
 from knowtell.langs import ALL_WORDS, LETTER, concat, from_ast, from_regex, subset
 from knowtell.oracle import bounded_closure
@@ -24,6 +24,12 @@ from knowtell.states import (
     project_success,
     validate_scenario,
 )
+
+
+def sample_tell(state_a, state_b, facts, rng, depth):
+    # one draw from fresh block counts, as the checks make it
+    counts = _block_counts(state_a, state_b, facts, depth)
+    return _draw_tell(state_a, state_b, facts, counts, rng, depth)
 
 
 def own_suffix_closed(state):
@@ -155,7 +161,7 @@ def test_common_knowledge_matches_cone_inclusion():
             state_a, state_b = initial_state(1, scenario), initial_state(2, scenario)
             for _ in range(6):
                 pairs.append((state_a, state_b))
-                event = _sample_tell(state_a, state_b, facts, rng, 3)
+                event = sample_tell(state_a, state_b, facts, rng, 3)
                 if event is None:
                     break
                 state_a, state_b = step(state_a, state_b, event, model)
