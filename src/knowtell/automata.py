@@ -31,11 +31,13 @@ class Dfa:
     def path(self, word) -> list[int]:
         """The states a run over the word passes through, the start state
         first; ValueError on a letter other than 1 or 2."""
-        states = [0]
+        delta, state, states = self.delta, 0, [0]
         for letter in word:
-            if letter not in (1, 2):
+            # the type test keeps out True and 1.0, which compare equal to 1
+            if type(letter) is not int or letter not in (1, 2):
                 raise ValueError(f"letter must be 1 or 2, got {letter!r}")
-            states.append(self.delta[states[-1]][letter - 1])
+            state = delta[state][letter - 1]
+            states.append(state)
         return states
 
     def accepts(self, word) -> bool:
@@ -168,15 +170,16 @@ def canonical_dfa(dfa: Dfa) -> Dfa:
 def renumber(delta, accepting, start: int) -> Dfa:
     """The states reachable from start, numbered breadth-first with letter 1
     before letter 2: on a minimal acceptor, its canonical form."""
-    number = {start: 0}
+    number = [-1] * len(delta)
+    number[start] = 0
     order = [start]
     rows = []
     for state in order:
         one, two = delta[state]
-        if one not in number:
+        if number[one] < 0:
             number[one] = len(order)
             order.append(one)
-        if two not in number:
+        if number[two] < 0:
             number[two] = len(order)
             order.append(two)
         rows.append((number[one], number[two]))

@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from . import regexes
-from .langs import Lang, concat, from_ast, union, union_tail
+from .langs import Lang, _union_tail, concat, from_ast, union
 from .regexes import Lit, Regex, alt, cat, opt, regex_to_text
 from .sentences import Sentence, Word, check_agent
 from .states import KnowledgeState, ModelKind, Scenario, initial_state, knows
@@ -83,8 +83,9 @@ def step(state_a: KnowledgeState, state_b: KnowledgeState, event: TellEvent,
         raise TellError(f"side {event.sender} does not know '{event.message}'")
     fact = event.message.fact
     current = receiver_state.lang_for(fact)
-    grown = union_tail(current, event.message.suffix, event.sender, event.receiver,
-                       model is ModelKind.UNDERSTANDING)
+    # the event checked its letters and agents when it was built
+    grown = _union_tail(current, event.message.suffix, event.sender, event.receiver,
+                        model is ModelKind.UNDERSTANDING)
     if grown is current:
         return state_a, state_b
     new_langs = dict(receiver_state.langs)

@@ -1,3 +1,4 @@
+import gc
 import json
 import sys
 from pathlib import Path
@@ -27,3 +28,12 @@ def write_json(tmp_path):
         return str(path)
 
     return write
+
+
+@pytest.fixture
+def frozen_heap():
+    """Moves every object that exists now out of the cyclic collector's
+    reach, so that a gc.collect() in the test scans only what it made."""
+    gc.freeze()
+    yield
+    gc.unfreeze()

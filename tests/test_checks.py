@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -28,6 +29,7 @@ from knowtell.dynamics import TellEvent, saturate, step
 from knowtell.langs import ALL_WORDS, cone, contains_cone, count_words, union
 from knowtell.sentences import Sentence, format_sentence
 from knowtell.states import KnowledgeState, ModelKind, Scenario, initial_state
+from tests.test_langs import evicting
 
 
 def sample_tell(state_a, state_b, facts, rng, depth):
@@ -222,14 +224,24 @@ def told_stream_digest(monkeypatch, run):
 
 # taken from the sampler that recounted every block before each draw and
 # asked common knowledge of both facts at every prefix
-@pytest.mark.parametrize("seed, pinned", [
+TELL_STREAM_PINS = [
     (42, "caa91132791b29f640d5682246cf0ef47019f27b286ac393c040513e5daa5a3f"),
     (1, "6b926e4a8e3924aef13e09e632612692b07bc3690d8e071a33f38631b1c01b8b"),
     (7, "a44a1950e66acb544914a95f15ffb0c24b94728dd68d12f5559b2b26585c773c"),
-], ids=["seed42", "seed1", "seed7"])
+]
+
+
+@pytest.mark.parametrize("seed, pinned", TELL_STREAM_PINS, ids=["seed42", "seed1", "seed7"])
 def test_ck_dynamics_tell_stream_is_pinned(monkeypatch, seed, pinned):
     digest = told_stream_digest(monkeypatch, lambda: check_ck_dynamics(100, seed))
     assert digest == pinned
+
+
+@pytest.mark.usefixtures("frozen_heap")
+def test_evicting_every_cache_keeps_the_tell_stream(monkeypatch):
+    # the seed-42 pin, replayed through a step that empties every cache first
+    monkeypatch.setattr(sys.modules[__name__], "step", evicting(step))
+    test_ck_dynamics_tell_stream_is_pinned(monkeypatch, *TELL_STREAM_PINS[0])
 
 
 def test_fixpoint_stability_tell_stream_is_pinned(monkeypatch):

@@ -1,9 +1,10 @@
 import hashlib
 import random
+import sys
 
 import pytest
 
-from knowtell import dynamics, regexes
+from knowtell import dynamics, langs, regexes
 from knowtell.checks import _block_counts, _draw_tell, _engine_scenario
 from knowtell.dynamics import (
     TellError,
@@ -16,8 +17,10 @@ from knowtell.dynamics import (
 )
 from knowtell.langs import (
     ALL_WORDS,
+    CACHE_SIZE,
     EMPTY,
     LETTER,
+    Lang,
     concat,
     enumerate_words,
     from_ast,
@@ -38,6 +41,7 @@ from knowtell.states import (
     knows,
     language_equal,
 )
+from tests.test_langs import clear_language_caches, evicting, language_caches
 
 
 def sample_tell(state_a, state_b, facts, rng, depth):
@@ -207,6 +211,46 @@ def test_traced_acceptors_and_ck_answers_are_pinned():
                                     for f in scenario.facts for s in suffixes))
     assert digest.hexdigest() == (
         "b0850abce6b41b4dfd7fa8c58d6536484a0ad5ff91c4a2de36f80c617fbf1926")
+
+
+@pytest.mark.usefixtures("frozen_heap")
+def test_evicting_every_cache_keeps_the_pinned_acceptors(monkeypatch):
+    # the pinned replay above, run through a step that empties every cache first
+    monkeypatch.setattr(sys.modules[__name__], "step", evicting(dynamics.step))
+    test_traced_acceptors_and_ck_answers_are_pinned()
+
+
+def cache_room():
+    """How many languages the caches can hold: a union_tail entry holds its
+    key and its result, a _solve_fact entry both sides' limits, any other
+    entry one language."""
+    room = 0
+    for cached in language_caches():
+        info = cached.cache_info()
+        if cached is dynamics._solve_fact:  # one entry per fact class, at most 8
+            assert info.maxsize is None and info.currsize <= 8
+            room += 2 * 8
+        else:
+            assert info.currsize <= info.maxsize == CACHE_SIZE
+            room += info.maxsize * (2 if cached is langs._union_tail else 1)
+    return room
+
+
+def test_a_long_session_keeps_the_intern_table_bounded(worked_example):
+    # 2,537 of these tells grow a language; with a strong intern table and
+    # unbounded caches the table grows with them, to 2,544 languages
+    clear_language_caches()
+    held_elsewhere = set(Lang._interned.values())
+    rng = random.Random(10)
+    state_a, state_b = initial_state(1, worked_example), initial_state(2, worked_example)
+    for _ in range(10):
+        for _ in range(1000):
+            event = sample_tell(state_a, state_b, worked_example.facts, rng, 10)
+            state_a, state_b = step(state_a, state_b, event, worked_example.model)
+        live = {*state_a.langs.values(), *state_b.langs.values()}
+        assert len(Lang._interned) <= len(held_elsewhere) + len(live) + cache_room()
+    clear_language_caches()
+    assert set(Lang._interned.values()) <= held_elsewhere | live
 
 
 def test_run_trace(worked_example):

@@ -1,12 +1,14 @@
 import copy
+import gc
 import itertools
 import pickle
+import re
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from knowtell import automata, langs, oracle
+from knowtell import automata, dynamics, langs, oracle
 from knowtell.automata import canonical_dfa, renumber
 from knowtell.dynamics import _solve_fact, _tell_tail, saturate
 from knowtell.langs import (
@@ -137,8 +139,15 @@ def test_contains_cone_examples():
     lambda word: union_tail(EMPTY, word, 1, 2, False),
 ], ids=["accepts", "contains", "contains_cone", "prefixed", "union_tail"])
 def test_word_walks_reject_the_same_bad_letter(walk):
-    with pytest.raises(ValueError, match=r"^letter must be 1 or 2, got 3$"):
-        walk((1, 3))
+    # True and 2.0 compare equal to a letter, so a cached answer for the
+    # int word must not answer for them
+    walk((1,))
+    walk((1, 2))
+    for bad in (3, True, 2.0):
+        for word in ((bad,), (1, bad)):
+            with pytest.raises(ValueError,
+                               match=rf"^letter must be 1 or 2, got {re.escape(repr(bad))}$"):
+                walk(word)
     assert ALL_WORDS.dfa.path((1, 2, 2)) == [0, 0, 0, 0]
 
 
@@ -177,6 +186,8 @@ def test_union_tail_examples():
         union_tail(EMPTY, (3,), 1, 2, False)
     with pytest.raises(ValueError):
         union_tail(EMPTY, (), 1, 1, False)
+    with pytest.raises(ValueError, match="mark and own"):
+        union_tail(EMPTY, (), True, 2, False)
 
 
 def test_to_dot_shape():
@@ -340,6 +351,35 @@ def minimal_dfa_langs(draw):
     return Lang(canonical_dfa(renumber(delta, accepting, 0)))
 
 
+def renumber_by_dict(delta, accepting, start):
+    # reference: the breadth-first numbering kept in a dict
+    number = {start: 0}
+    order = [start]
+    rows = []
+    for state in order:
+        for after in delta[state]:
+            if after not in number:
+                number[after] = len(order)
+                order.append(after)
+        rows.append((number[delta[state][0]], number[delta[state][1]]))
+    return automata.Dfa(tuple(rows), tuple(accepting[s] for s in order))
+
+
+@st.composite
+def row_tables(draw):
+    n = draw(st.integers(min_value=1, max_value=12))
+    state = st.integers(min_value=0, max_value=n - 1)
+    delta = draw(st.lists(st.tuples(state, state), min_size=n, max_size=n))
+    accepting = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return delta, accepting, draw(state)
+
+
+@settings(max_examples=200, deadline=None)
+@given(row_tables())
+def test_renumber_matches_dict_numbering(table):
+    assert renumber(*table) == renumber_by_dict(*table)
+
+
 def union_with_gain(lang, word, sender, understanding):
     # the general route: the tell's gain as a language, then inclusion and union
     gain = prefixed(word, from_ast(_tell_tail(sender, 3 - sender, understanding)))
@@ -413,6 +453,44 @@ def test_every_operation_returns_canonical_acceptors(r, s, word):
     for lang in (a, b, union(a, b), concat(a, b), star(a), prefixed(word, a),
                  union_tail(a, word, 1, 2, True), union_tail(b, word, 2, 1, False)):
         assert canonical_dfa(lang.dfa) == lang.dfa
+
+
+def language_caches():
+    """Every lru cache defined in langs and dynamics; each holds languages."""
+    return [value for module in (langs, dynamics) for value in vars(module).values()
+            if hasattr(value, "cache_info") and value.__module__ == module.__name__]
+
+
+def clear_language_caches():
+    for cached in language_caches():
+        cached.cache_clear()
+    gc.collect()
+
+
+def evicting(step):
+    """step, with every language-keyed cache cleared and the freed
+    languages collected before each call."""
+    def evicting_step(*args):
+        clear_language_caches()
+        return step(*args)
+    return evicting_step
+
+
+def test_weak_interning_keeps_one_object_per_language():
+    lang = from_regex("221(2|e)1*")
+    dfa = lang.dfa
+    assert Lang._interned[dfa] is lang
+    del lang
+    clear_language_caches()
+    assert dfa not in Lang._interned
+    # rebuilt by two routes, it is again one object
+    rebuilt = from_regex("221(2|e)1*")
+    assert rebuilt.dfa == dfa and Lang._interned[dfa] is rebuilt
+    assert union_tail(EMPTY, (2, 2, 1), 2, 1, True) is rebuilt
+    assert copy.copy(rebuilt) is rebuilt
+    assert copy.deepcopy(rebuilt) is rebuilt
+    assert pickle.loads(pickle.dumps(rebuilt)) is rebuilt
+    assert not hasattr(rebuilt, "__dict__")
 
 
 def test_copies_and_pickles_are_the_interned_language():
