@@ -13,12 +13,12 @@ merges each new state into an equal one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .regexes import Alt, Cat, Empty, Eps, Lit, Opt, Plus, Regex, Star
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Dfa:
     """Complete deterministic acceptor; state 0 is the start state.
 
@@ -27,6 +27,15 @@ class Dfa:
 
     delta: tuple[tuple[int, int], ...]
     accepting: tuple[bool, ...]
+    # hashed once, as the intern table hashes on every lookup, insert and drop;
+    # with slots the cached field does not enlarge every acceptor
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.delta, self.accepting)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def path(self, word) -> list[int]:
         """The states a run over the word passes through, the start state

@@ -12,10 +12,10 @@ import time
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .dynamics import TellEvent, saturate, step
+from .dynamics import _tell, saturate
 from .langs import Lang, cone_word, count_words, distinguishing_word, word_at
 from .oracle import compare_symbolic
-from .sentences import Sentence, format_sentence, other_agent
+from .sentences import Sentence, Word, format_sentence
 from .states import (
     KnowledgeState,
     ModelKind,
@@ -137,11 +137,12 @@ def _block_counts(state_a: KnowledgeState, state_b: KnowledgeState,
 
 def _draw_tell(state_a: KnowledgeState, state_b: KnowledgeState,
                facts: Sequence[str], counts: Sequence[int], rng: random.Random,
-               depth: int) -> TellEvent | None:
-    """A uniformly random truthful tell with message depth <= depth, given
-    the states' `_block_counts` at that depth: one rng.randrange over the
-    candidates ranked by sender, fact, then (length, word), which draws
-    exactly as rng.choice over that ranked list would."""
+               depth: int) -> tuple[int, str, Word] | None:
+    """A uniformly random truthful tell (sender, fact, word) with message
+    depth <= depth, given the states' `_block_counts` at that depth: one
+    rng.randrange over the candidates ranked by sender, fact, then (length,
+    word), which draws exactly as rng.choice over that ranked list would.
+    The word comes from the sender's language: `_tell` may take it as is."""
     total = sum(counts)
     if not total:
         return None
@@ -150,8 +151,7 @@ def _draw_tell(state_a: KnowledgeState, state_b: KnowledgeState,
         if index < n:
             state = state_b if block >= len(facts) else state_a
             fact = facts[block % len(facts)]
-            message = Sentence(fact, word_at(state.langs[fact], depth, index))
-            return TellEvent(state.agent, other_agent(state.agent), message)
+            return state.agent, fact, word_at(state.langs[fact], depth, index)
         index -= n
 
 
@@ -169,7 +169,9 @@ def check_ck_dynamics(traces: int = 100, seed: int = 42) -> CheckReport:
     A tell grows at most one language, and interning shows which by
     identity. So a trace carries its block counts and one answer per fact
     and re-derives only what a tell changed; the draws are exactly those of
-    a full recount before each one.
+    a full recount before each one. A draw is the sender's by construction,
+    so the check tells through the unchecked `dynamics._tell`, not `step`,
+    and builds a `Sentence` only for a violation's text.
     """
     if traces < 1:
         raise ValueError(f"traces must be >= 1, got {traces}")
@@ -197,6 +199,7 @@ def check_ck_dynamics(traces: int = 100, seed: int = 42) -> CheckReport:
                    f"extension of '{format_sentence(Sentence(fact, word))}'")
 
     for model in (ModelKind.COMMUNICATION, ModelKind.UNDERSTANDING):
+        understanding = model is ModelKind.UNDERSTANDING
         for side_a in subsets_of(facts):
             for side_b in subsets_of(facts):
                 scenario = Scenario.make(facts, side_a, side_b, model)
@@ -232,11 +235,11 @@ def check_ck_dynamics(traces: int = 100, seed: int = 42) -> CheckReport:
                         for block, lang in recount.items():
                             counts[block] = count_words(lang, SAMPLE_DEPTH)
                         recount.clear()
-                        event = _draw_tell(state_a, state_b, facts, counts, rng,
-                                           SAMPLE_DEPTH)
-                        if event is None:
+                        draw = _draw_tell(state_a, state_b, facts, counts, rng,
+                                          SAMPLE_DEPTH)
+                        if draw is None:
                             break
-                        after = step(state_a, state_b, event, scenario.model)
+                        after = _tell(state_a, state_b, *draw, understanding)
                         for side, old, new in zip((0, 1), (state_a, state_b), after):
                             if new is old:
                                 continue
@@ -345,21 +348,23 @@ def check_fixpoint_stability(*, disable_understanding: bool = False) -> CheckRep
         state_a, state_b = result.state_a, result.state_b
         # no tell is kept, so the counts hold for every draw
         counts = _block_counts(state_a, state_b, facts, STABILITY_DEPTH)
+        understanding = engine.model is ModelKind.UNDERSTANDING
         for _ in range(STABILITY_TELLS):
-            event = _draw_tell(state_a, state_b, facts, counts, rng,
-                               STABILITY_DEPTH)
-            if event is None:
+            draw = _draw_tell(state_a, state_b, facts, counts, rng,
+                              STABILITY_DEPTH)
+            if draw is None:
                 break
-            after_a, after_b = step(state_a, state_b, event, engine.model)
+            after_a, after_b = _tell(state_a, state_b, *draw, understanding)
             changed = [
                 f for f in facts
                 if after_a.langs[f] != state_a.langs[f]
                 or after_b.langs[f] != state_b.langs[f]
             ]
             if changed:
+                sender, fact, word = draw
                 violations.append(Violation(
                     scenario.describe(),
-                    f"telling '{event.message}' from side {event.sender} grew "
+                    f"telling '{Sentence(fact, word)}' from side {sender} grew "
                     f"the language of {{{','.join(changed)}}}",
                 ))
     return _finish("fixpoint-stability", count, violations, started)

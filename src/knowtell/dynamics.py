@@ -63,37 +63,39 @@ def _tell_tail(sender: int, receiver: int, understanding: bool) -> Regex:
     return cat(opt(mark) if understanding else mark, regexes.star(Lit(receiver)))
 
 
+def _tell(state_a: KnowledgeState, state_b: KnowledgeState, sender: int,
+          fact: str, word: Word, understanding: bool
+          ) -> tuple[KnowledgeState, KnowledgeState]:
+    """The tell rule, unchecked: the caller vouches that the states are in
+    side order, that the sender (1 or 2) knows fact.word and that both
+    states carry the fact. The receiver's language for the fact grows by
+    word.T (T as `_tell_tail` writes it), built from the few states the tell
+    adds; a tell that adds nothing returns the very same pair of states."""
+    receiver = state_b if sender == 1 else state_a
+    current = receiver.langs[fact]
+    grown = _union_tail(current, word, sender, 3 - sender, understanding)
+    if grown is current:
+        return state_a, state_b
+    new_receiver = KnowledgeState(receiver.agent, {**receiver.langs, fact: grown})
+    return (state_a, new_receiver) if sender == 1 else (new_receiver, state_b)
+
+
 def step(state_a: KnowledgeState, state_b: KnowledgeState, event: TellEvent,
          model: ModelKind) -> tuple[KnowledgeState, KnowledgeState]:
-    """Apply one tell; the sender must actually know the message, and the
-    states must be side 1's then side 2's (ValueError otherwise).
-
-    The receiver's language for the told fact grows by suffix.T, with T
-    the tail that `_tell_tail` writes as a regex; `langs.union_tail` builds
-    the result from the few states the tell adds. A tell whose whole gain
-    the receiver already knows returns both states unchanged: the very
-    same objects.
+    """Apply one tell, checked: the states must be side 1's then side 2's
+    (ValueError), the sender must know the message (TellError), and both
+    states must carry its fact (UnknownFactError). The event checked its
+    agents and letters when it was built; `_tell` then applies the rule.
     """
     if state_a.agent != 1 or state_b.agent != 2:
         raise ValueError("step takes the states of sides 1 and 2 in that order, "
                          f"got sides {state_a.agent} and {state_b.agent}")
-    sender_state = state_a if event.sender == 1 else state_b
-    receiver_state = state_b if event.sender == 1 else state_a
-    if not knows(sender_state, event.message):
+    pair, fact = (state_a, state_b), event.message.fact
+    if not knows(pair[event.sender - 1], event.message):
         raise TellError(f"side {event.sender} does not know '{event.message}'")
-    fact = event.message.fact
-    current = receiver_state.lang_for(fact)
-    # the event checked its letters and agents when it was built
-    grown = _union_tail(current, event.message.suffix, event.sender, event.receiver,
-                        model is ModelKind.UNDERSTANDING)
-    if grown is current:
-        return state_a, state_b
-    new_langs = dict(receiver_state.langs)
-    new_langs[fact] = grown
-    new_receiver = KnowledgeState(receiver_state.agent, new_langs)
-    if event.sender == 1:
-        return state_a, new_receiver
-    return new_receiver, state_b
+    pair[event.receiver - 1].lang_for(fact)  # UnknownFactError if it lacks the fact
+    return _tell(state_a, state_b, event.sender, fact, event.message.suffix,
+                 model is ModelKind.UNDERSTANDING)
 
 
 def run_trace(scenario: Scenario, events: Sequence[TellEvent]

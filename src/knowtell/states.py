@@ -45,12 +45,10 @@ class Scenario:
     def make(cls, facts: Iterable[str], side_a: Iterable[str],
              side_b: Iterable[str], model: ModelKind | str) -> "Scenario":
         """Normalize plain iterables and strings into a validated scenario."""
-        if isinstance(model, str):
-            try:
-                model = ModelKind(model)
-            except ValueError:
-                names = ", ".join(repr(m.value) for m in ModelKind)
-                raise ScenarioError(f"model must be one of {names}, got {model!r}") from None
+        try:
+            model = ModelKind(model)
+        except ValueError:
+            pass  # __post_init__ names the models
         return cls(tuple(facts), frozenset(side_a), frozenset(side_b), model)
 
     def __post_init__(self):
@@ -67,7 +65,8 @@ class Scenario:
                     f"{label} facts not in the fact set: {', '.join(stray)}"
                 )
         if not isinstance(self.model, ModelKind):
-            raise ScenarioError(f"bad model {self.model!r}")
+            names = ", ".join(repr(m.value) for m in ModelKind)
+            raise ScenarioError(f"model must be one of {names}, got {self.model!r}")
 
     def side(self, agent: int) -> frozenset[str]:
         check_agent(agent)

@@ -25,17 +25,26 @@ from knowtell.checks import (
     scenario_grid,
     subsets_of,
 )
-from knowtell.dynamics import TellEvent, saturate, step
+from knowtell.dynamics import TellEvent, _tell, saturate, step
 from knowtell.langs import ALL_WORDS, cone, contains_cone, count_words, union
 from knowtell.sentences import Sentence, format_sentence
-from knowtell.states import KnowledgeState, ModelKind, Scenario, initial_state
+from knowtell.states import KnowledgeState, ModelKind, Scenario, initial_state, knows
 from tests.test_langs import evicting
 
 
 def sample_tell(state_a, state_b, facts, rng, depth):
-    # one draw from fresh block counts, as the checks make it
+    """One draw from fresh block counts, as the checks make it, as the
+    TellEvent it stands for; None when no tell is possible."""
     counts = _block_counts(state_a, state_b, facts, depth)
-    return _draw_tell(state_a, state_b, facts, counts, rng, depth)
+    draw = _draw_tell(state_a, state_b, facts, counts, rng, depth)
+    if draw is None:
+        return None
+    sender, fact, word = draw
+    return TellEvent(sender, 3 - sender, Sentence(fact, word))
+
+
+def model_of(understanding):
+    return ModelKind.UNDERSTANDING if understanding else ModelKind.COMMUNICATION
 
 
 def test_subsets_order_is_stable():
@@ -208,16 +217,16 @@ def test_sampler_matches_reference_on_saturated_states():
 
 def told_stream_digest(monkeypatch, run):
     """SHA-256 over every (sender, fact, suffix, model) that run passes to
-    the check suite's step."""
+    the check suite's tell rule."""
     digest = hashlib.sha256()
 
-    def recording(state_a, state_b, event, model):
-        suffix = "".join(map(str, event.message.suffix))
-        digest.update(f"{event.sender} {event.message.fact} {suffix} "
-                      f"{model.value}\n".encode())
-        return step(state_a, state_b, event, model)
+    def recording(state_a, state_b, sender, fact, word, understanding):
+        suffix = "".join(map(str, word))
+        digest.update(f"{sender} {fact} {suffix} "
+                      f"{model_of(understanding).value}\n".encode())
+        return _tell(state_a, state_b, sender, fact, word, understanding)
 
-    monkeypatch.setattr(checks, "step", recording)
+    monkeypatch.setattr(checks, "_tell", recording)
     run()
     return digest.hexdigest()
 
@@ -239,8 +248,8 @@ def test_ck_dynamics_tell_stream_is_pinned(monkeypatch, seed, pinned):
 
 @pytest.mark.usefixtures("frozen_heap")
 def test_evicting_every_cache_keeps_the_tell_stream(monkeypatch):
-    # the seed-42 pin, replayed through a step that empties every cache first
-    monkeypatch.setattr(sys.modules[__name__], "step", evicting(step))
+    # the seed-42 pin, replayed through a tell that empties every cache first
+    monkeypatch.setattr(sys.modules[__name__], "_tell", evicting(_tell))
     test_ck_dynamics_tell_stream_is_pinned(monkeypatch, *TELL_STREAM_PINS[0])
 
 
@@ -248,6 +257,30 @@ def test_fixpoint_stability_tell_stream_is_pinned(monkeypatch):
     assert told_stream_digest(monkeypatch, check_fixpoint_stability) == (
         "700b6eca4f1e1cc842bbe6ce11db09e087942290651be6c2e9e335c1c5161cf9"
     )
+
+
+def test_the_checks_tell_by_the_rule_that_step_guards(monkeypatch):
+    # along every tell ck-dynamics makes, the unchecked core and the checked
+    # step agree, and the sender knows the drawn word, which step would have
+    # proved again
+    tells = grown = 0
+
+    def both(state_a, state_b, sender, fact, word, understanding):
+        nonlocal tells, grown
+        event = TellEvent(sender, 3 - sender, Sentence(fact, word))
+        assert knows((state_a, state_b)[sender - 1], event.message)
+        checked = step(state_a, state_b, event, model_of(understanding))
+        core = _tell(state_a, state_b, sender, fact, word, understanding)
+        assert [c is s for c, s in zip(checked, (state_a, state_b))] == [
+            c is s for c, s in zip(core, (state_a, state_b))]
+        assert checked == core  # interned languages: == is identity
+        tells += 1
+        grown += core[0] is not state_a or core[1] is not state_b
+        return core
+
+    monkeypatch.setattr(checks, "_tell", both)
+    assert check_ck_dynamics(20, 42).status == "pass"
+    assert tells > grown > 0
 
 
 def test_ck_dynamics_counts_only_the_languages_it_draws_from(monkeypatch):
@@ -291,36 +324,34 @@ def growing_tells(traces, seed):
                     state_a, state_b = after
 
 
-def mutant_step(k, mutate):
-    """step, except that the k-th tell that grows a language also applies
-    mutate to the pair it returns."""
+def mutant_tell(k, mutate):
+    """The tell rule, except that the k-th tell that grows a language also
+    applies mutate to the pair it returns, given the receiver and the fact."""
     grown = 0
 
-    def mutant(state_a, state_b, event, model):
+    def mutant(state_a, state_b, sender, fact, word, understanding):
         nonlocal grown
-        after = step(state_a, state_b, event, model)
+        after = _tell(state_a, state_b, sender, fact, word, understanding)
         if after[0] is state_a and after[1] is state_b:
             return after
         grown += 1
-        return mutate(after, event) if grown == k else after
+        return mutate(after, 3 - sender, fact) if grown == k else after
 
     return mutant
 
 
-def all_words_on_both_sides(after, event):
-    fact = event.message.fact
+def all_words_on_both_sides(after, receiver, fact):
     return tuple(KnowledgeState(s.agent, {**s.langs, fact: ALL_WORDS})
                  for s in after)
 
 
 def cone_at(suffix):
-    def add_cone(after, event):
-        fact = event.message.fact
-        receiver = after[event.receiver - 1]
-        grown = KnowledgeState(receiver.agent, {
-            **receiver.langs, fact: union(receiver.langs[fact], cone(suffix)),
+    def add_cone(after, receiver, fact):
+        state = after[receiver - 1]
+        grown = KnowledgeState(state.agent, {
+            **state.langs, fact: union(state.langs[fact], cone(suffix)),
         })
-        return (grown, after[1]) if event.receiver == 1 else (after[0], grown)
+        return (grown, after[1]) if receiver == 1 else (after[0], grown)
     return add_cone
 
 
@@ -329,7 +360,7 @@ def test_ck_dynamics_sees_common_knowledge_made_by_a_step(monkeypatch, k):
     # kills a check that does not ask common knowledge again after a step
     scenario, trace, prefix, event, _ = next(
         itertools.islice(growing_tells(20, 42), k - 1, None))
-    monkeypatch.setattr(checks, "step", mutant_step(k, all_words_on_both_sides))
+    monkeypatch.setattr(checks, "_tell", mutant_tell(k, all_words_on_both_sides))
     report = check_ck_dynamics(20, 42)
     ck_found = [v for v in report.violations if "common knowledge" in v.witness]
     assert ck_found[0] == Violation(
@@ -346,11 +377,11 @@ def test_ck_dynamics_sees_a_cone_behind_a_suffix(monkeypatch, k, suffix):
     scenario, trace, prefix, event, after = next(
         itertools.islice(growing_tells(20, 42), k - 1, None))
     mutate = cone_at(suffix)
-    monkeypatch.setattr(checks, "step", mutant_step(k, mutate))
+    monkeypatch.setattr(checks, "_tell", mutant_tell(k, mutate))
     report = check_ck_dynamics(20, 42)
     assert not any("common knowledge" in v.witness for v in report.violations)
     fact = event.message.fact
-    held = mutate(after, event)[event.receiver - 1].langs[fact]
+    held = mutate(after, event.receiver, fact)[event.receiver - 1].langs[fact]
     words = (w for n in range(len(suffix) + 1)
              for w in itertools.product((1, 2), repeat=n))
     shortest = next(w for w in words if contains_cone(held, w))

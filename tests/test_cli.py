@@ -49,6 +49,16 @@ def test_load_scenario_errors(write_json, payload, needle):
     assert needle in str(err.value)
 
 
+@pytest.mark.parametrize("model", [7, None, ["x"], "x"],
+                         ids=["int", "null", "list", "bad-string"])
+def test_any_bad_model_gets_the_same_error(capsys, write_json, model):
+    path = write_json({**WORKED, "model": model})
+    assert main(["saturate", path]) == 3
+    assert capsys.readouterr().err == (
+        f"error: {path}: model must be one of 'communication', "
+        f"'understanding', got {model!r}\n")
+
+
 def test_load_scenario_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from knowtell import dynamics, langs, regexes
-from knowtell.checks import _block_counts, _draw_tell, _engine_scenario
+from knowtell.checks import _engine_scenario
 from knowtell.dynamics import (
     TellError,
     TellEvent,
@@ -34,20 +34,17 @@ from knowtell.langs import (
 from knowtell.regexes import Cat
 from knowtell.sentences import Sentence, SentenceError, parse_sentence
 from knowtell.states import (
+    KnowledgeState,
     ModelKind,
     Scenario,
+    UnknownFactError,
     common_knowledge,
     initial_state,
     knows,
     language_equal,
 )
+from tests.test_checks import sample_tell
 from tests.test_langs import clear_language_caches, evicting, language_caches
-
-
-def sample_tell(state_a, state_b, facts, rng, depth):
-    # one draw from fresh block counts, as the checks make it
-    counts = _block_counts(state_a, state_b, facts, depth)
-    return _draw_tell(state_a, state_b, facts, counts, rng, depth)
 
 
 def own_suffix_closed(state):
@@ -124,6 +121,21 @@ def test_step_requires_the_sides_in_order():
     for first, second in ((state_b, state_a), (state_a, state_a), (state_b, state_b)):
         with pytest.raises(ValueError, match="sides 1 and 2 in that order"):
             step(first, second, event, scenario.model)
+
+
+@pytest.mark.parametrize("sender", [1, 2])
+def test_step_refuses_a_fact_either_state_lacks(sender):
+    scenario = Scenario.make(["a", "b"], ["a", "b"], ["a", "b"], "communication")
+    full = {x: initial_state(x, scenario) for x in (1, 2)}
+    # the receiver lacks b, although the sender knows it
+    lacking = KnowledgeState(3 - sender, {"a": full[3 - sender].langs["a"]})
+    pair = (full[1], lacking) if sender == 1 else (lacking, full[2])
+    with pytest.raises(UnknownFactError, match="'b'"):
+        step(*pair, TellEvent(sender, 3 - sender, parse_sentence("b")), scenario.model)
+    # a fact neither state carries
+    with pytest.raises(UnknownFactError, match="'c'"):
+        step(full[1], full[2], TellEvent(sender, 3 - sender, parse_sentence("c")),
+             scenario.model)
 
 
 def test_step_leaves_sender_untouched(worked_example):

@@ -503,3 +503,19 @@ def test_copies_and_pickles_are_the_interned_language():
     assert twin == result and twin.state_a.langs["a"] is result.state_a.langs["a"]
     state = initial_state(1, Scenario.make("ab", "a", "", "communication"))
     assert pickle.loads(pickle.dumps(state)) == state
+
+
+def test_acceptor_hash_is_cached_out_of_sight():
+    lang = from_regex("1*(12+1*)*")
+    dfa = lang.dfa
+    rebuilt = automata.Dfa(tuple(tuple(list(row)) for row in dfa.delta),
+                           tuple(list(dfa.accepting)))
+    assert rebuilt == dfa and rebuilt is not dfa and hash(rebuilt) == hash(dfa)
+    # the value the dataclass's own hash gave, over the compared fields alone
+    assert hash(dfa) == hash((dfa.delta, dfa.accepting))
+    assert repr(dfa) == f"Dfa(delta={dfa.delta!r}, accepting={dfa.accepting!r})"
+    assert dfa != automata.Dfa(dfa.delta, tuple(not a for a in dfa.accepting))
+    with pytest.raises(TypeError):
+        automata.Dfa(dfa.delta, dfa.accepting, hash(dfa))
+    for twin in (copy.copy(dfa), copy.deepcopy(dfa), pickle.loads(pickle.dumps(dfa))):
+        assert twin == dfa and hash(twin) == hash(dfa) and Lang(twin) is lang

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from knowtell.checks import _block_counts, _draw_tell, subsets_of
+from knowtell.checks import subsets_of
 from knowtell.dynamics import saturate, step
 from knowtell.langs import ALL_WORDS, LETTER, concat, from_ast, from_regex, subset
 from knowtell.oracle import bounded_closure
@@ -24,12 +24,7 @@ from knowtell.states import (
     project_success,
     validate_scenario,
 )
-
-
-def sample_tell(state_a, state_b, facts, rng, depth):
-    # one draw from fresh block counts, as the checks make it
-    counts = _block_counts(state_a, state_b, facts, depth)
-    return _draw_tell(state_a, state_b, facts, counts, rng, depth)
+from tests.test_checks import sample_tell
 
 
 def own_suffix_closed(state):
