@@ -84,14 +84,6 @@ def scenario_grid(max_facts: int, model: ModelKind) -> Iterator[Scenario]:
                 yield Scenario.make(facts, side_a, side_b, model)
 
 
-def _engine_scenario(scenario: Scenario, disable_understanding: bool) -> Scenario:
-    """What both engines run: the no-understanding self-test fixture solves
-    an understanding scenario under the communication rule."""
-    if disable_understanding:
-        return dataclasses.replace(scenario, model=ModelKind.COMMUNICATION)
-    return scenario
-
-
 def _inequality_witness(state_a: KnowledgeState, state_b: KnowledgeState,
                         facts: Sequence[str]) -> str:
     for fact in facts:
@@ -262,7 +254,8 @@ def check_success_theorems(max_facts: int = 3, *,
     """Equal starting fact sets guarantee success under communication alone;
     joint coverage guarantees success (and common knowledge of every fact)
     under full understanding. Coverage gaps with equal languages are listed
-    as notes, not violations."""
+    as notes, not violations. The self-test fixture disable_understanding
+    (`check --mutate no-understanding`) solves that grid under communication."""
     started = time.perf_counter()
     violations: list[Violation] = []
     notes: list[str] = []
@@ -283,7 +276,8 @@ def check_success_theorems(max_facts: int = 3, *,
 
     for scenario in scenario_grid(max_facts, ModelKind.UNDERSTANDING):
         count += 1
-        result = saturate(_engine_scenario(scenario, disable_understanding))
+        result = saturate(dataclasses.replace(scenario, model=ModelKind.COMMUNICATION)
+                          if disable_understanding else scenario)
         covered = scenario.side_a | scenario.side_b >= set(scenario.facts)
         if covered:
             if not language_equal(result.state_a, result.state_b):
@@ -334,7 +328,7 @@ STABILITY_SCENARIOS: tuple[tuple[tuple[str, ...], tuple[str, ...], tuple[str, ..
 )
 
 
-def check_fixpoint_stability(*, disable_understanding: bool = False) -> CheckReport:
+def check_fixpoint_stability() -> CheckReport:
     """Telling a saturated pair anything it already knows changes nothing."""
     started = time.perf_counter()
     rng = random.Random(STABILITY_SEED)
@@ -343,12 +337,11 @@ def check_fixpoint_stability(*, disable_understanding: bool = False) -> CheckRep
     for facts, side_a, side_b, model in STABILITY_SCENARIOS:
         scenario = Scenario.make(facts, side_a, side_b, model)
         count += 1
-        engine = _engine_scenario(scenario, disable_understanding)
-        result = saturate(engine)
+        result = saturate(scenario)
         state_a, state_b = result.state_a, result.state_b
         # no tell is kept, so the counts hold for every draw
         counts = _block_counts(state_a, state_b, facts, STABILITY_DEPTH)
-        understanding = engine.model is ModelKind.UNDERSTANDING
+        understanding = scenario.model is ModelKind.UNDERSTANDING
         for _ in range(STABILITY_TELLS):
             draw = _draw_tell(state_a, state_b, facts, counts, rng,
                               STABILITY_DEPTH)
@@ -370,8 +363,7 @@ def check_fixpoint_stability(*, disable_understanding: bool = False) -> CheckRep
     return _finish("fixpoint-stability", count, violations, started)
 
 
-def check_oracle_equivalence(max_facts: int = 3, depth: int = 5, *,
-                             disable_understanding: bool = False) -> CheckReport:
+def check_oracle_equivalence(max_facts: int = 3, depth: int = 5) -> CheckReport:
     """The bounded brute-force closure equals the enumerated saturated
     languages, per agent per fact, over the whole grid in both models."""
     started = time.perf_counter()
@@ -380,9 +372,7 @@ def check_oracle_equivalence(max_facts: int = 3, depth: int = 5, *,
     for model in (ModelKind.COMMUNICATION, ModelKind.UNDERSTANDING):
         for scenario in scenario_grid(max_facts, model):
             count += 1
-            report = compare_symbolic(
-                _engine_scenario(scenario, disable_understanding), depth
-            )
+            report = compare_symbolic(scenario, depth)
             for mismatch in report.mismatches:
                 symbolic = ",".join(mismatch.only_symbolic) or "(none)"
                 bounded = ",".join(mismatch.only_bounded) or "(none)"
@@ -412,11 +402,6 @@ def run_all_checks(config: CheckConfig = CheckConfig()) -> list[CheckReport]:
             config.max_facts,
             disable_understanding=config.disable_understanding,
         ),
-        check_fixpoint_stability(
-            disable_understanding=config.disable_understanding,
-        ),
-        check_oracle_equivalence(
-            config.max_facts, config.depth,
-            disable_understanding=config.disable_understanding,
-        ),
+        check_fixpoint_stability(),
+        check_oracle_equivalence(config.max_facts, config.depth),
     ]

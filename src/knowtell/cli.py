@@ -325,19 +325,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser(
         "check", help="run every verification check and report pass/fail"
     )
-    p_check.add_argument("--max-facts", type=_int_in(1, len(FACT_POOL)),
-                         default=3, metavar="N")
-    p_check.add_argument("--depth", type=_int_in(0, MAX_ORACLE_DEPTH), default=5,
-                         metavar="K")
-    p_check.add_argument("--traces", type=_int_in(1), default=100, metavar="N")
-    p_check.add_argument("--seed", type=int, default=42, metavar="S")
+    p_check.add_argument("--max-facts", type=_int_in(1, len(FACT_POOL)), metavar="N")
+    p_check.add_argument("--depth", type=_int_in(0, MAX_ORACLE_DEPTH), metavar="K")
+    p_check.add_argument("--traces", type=_int_in(1), metavar="N")
+    p_check.add_argument("--seed", type=int, metavar="S")
     p_check.add_argument("--format", choices=("json", "text"), default="text")
     p_check.add_argument(
         "--mutate", choices=("no-understanding",), default=None,
         help="testing fixture: drop the bare-message gain from the "
              "understanding model so the success checks must fail",
     )
-    p_check.set_defaults(func=_cmd_check)
+    # the settings default to CheckConfig's own values
+    p_check.set_defaults(func=_cmd_check, **vars(CheckConfig()))
 
     p_sat = sub.add_parser(
         "saturate", help="solve the full-communication limit of a scenario"

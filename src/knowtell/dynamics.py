@@ -23,7 +23,8 @@ from . import regexes
 from .langs import Lang, _union_tail, concat, from_ast, union
 from .regexes import Lit, Regex, alt, cat, opt, regex_to_text
 from .sentences import Sentence, Word, check_agent
-from .states import KnowledgeState, ModelKind, Scenario, initial_state, knows
+from .states import (KnowledgeState, ModelKind, Scenario, initial_state, knows,
+                     model_kind)
 
 
 class TellError(ValueError):
@@ -51,16 +52,15 @@ class TellEvent:
         check_agent(self.receiver)
         if self.sender == self.receiver:
             raise TellError("sender and receiver must be different agents")
+        if not isinstance(self.message, Sentence):
+            raise TellError(f"message must be a Sentence, got {self.message!r}")
 
 
-Trace = tuple[TellEvent, ...]
-
-
-def _tell_tail(sender: int, receiver: int, understanding: bool) -> Regex:
+def _tell_tail(sender: int, understanding: bool) -> Regex:
     # after the told suffix: the sender's mark (optional under understanding)
     # and then any run of the receiver's own mark
     mark = Lit(sender)
-    return cat(opt(mark) if understanding else mark, regexes.star(Lit(receiver)))
+    return cat(opt(mark) if understanding else mark, regexes.star(Lit(3 - sender)))
 
 
 def _tell(state_a: KnowledgeState, state_b: KnowledgeState, sender: int,
@@ -73,7 +73,7 @@ def _tell(state_a: KnowledgeState, state_b: KnowledgeState, sender: int,
     adds; a tell that adds nothing returns the very same pair of states."""
     receiver = state_b if sender == 1 else state_a
     current = receiver.langs[fact]
-    grown = _union_tail(current, word, sender, 3 - sender, understanding)
+    grown = _union_tail(current, word, sender, understanding)
     if grown is current:
         return state_a, state_b
     new_receiver = KnowledgeState(receiver.agent, {**receiver.langs, fact: grown})
@@ -81,12 +81,14 @@ def _tell(state_a: KnowledgeState, state_b: KnowledgeState, sender: int,
 
 
 def step(state_a: KnowledgeState, state_b: KnowledgeState, event: TellEvent,
-         model: ModelKind) -> tuple[KnowledgeState, KnowledgeState]:
-    """Apply one tell, checked: the states must be side 1's then side 2's
-    (ValueError), the sender must know the message (TellError), and both
-    states must carry its fact (UnknownFactError). The event checked its
-    agents and letters when it was built; `_tell` then applies the rule.
+         model: ModelKind | str) -> tuple[KnowledgeState, KnowledgeState]:
+    """Apply one tell, checked: the model must be one `Scenario.make` takes
+    (ScenarioError), the states side 1's then side 2's (ValueError), the
+    sender must know the message (TellError), and both states must carry
+    its fact (UnknownFactError). The event checked its agents and message
+    when it was built; `_tell` then applies the rule.
     """
+    understanding = model_kind(model) is ModelKind.UNDERSTANDING
     if state_a.agent != 1 or state_b.agent != 2:
         raise ValueError("step takes the states of sides 1 and 2 in that order, "
                          f"got sides {state_a.agent} and {state_b.agent}")
@@ -95,7 +97,7 @@ def step(state_a: KnowledgeState, state_b: KnowledgeState, event: TellEvent,
         raise TellError(f"side {event.sender} does not know '{event.message}'")
     pair[event.receiver - 1].lang_for(fact)  # UnknownFactError if it lacks the fact
     return _tell(state_a, state_b, event.sender, fact, event.message.suffix,
-                 model is ModelKind.UNDERSTANDING)
+                 understanding)
 
 
 def run_trace(scenario: Scenario, events: Sequence[TellEvent]
@@ -134,7 +136,7 @@ def _solve_fact(in_a: bool, in_b: bool, understanding: bool):
     """
     base = {1: regexes.star(Lit(1)) if in_a else regexes.EMPTY,
             2: regexes.star(Lit(2)) if in_b else regexes.EMPTY}
-    tail = {x: _tell_tail(3 - x, x, understanding) for x in (1, 2)}
+    tail = {x: _tell_tail(3 - x, understanding) for x in (1, 2)}
     langs: dict[int, Lang] = {}
     texts: dict[int, str] = {}
     for x, y in ((1, 2), (2, 1)):

@@ -123,18 +123,19 @@ def _own_loop_accepts(lang: Lang, state: int, own: int) -> bool:
     return True
 
 
-def union_tail(lang: Lang, word: Word, mark: int, own: int, optional: bool) -> Lang:
+def union_tail(lang: Lang, word: Word, mark: int, optional: bool) -> Lang:
     """lang + word.T for the tell tail T = mark.own* ((mark|e).own* when
-    optional); lang itself when it already holds all of word.T."""
+    optional), where own = 3 - mark is the receiver's mark; lang itself
+    when it already holds all of word.T."""
     # checked before the cache, whose keys do not tell True or 1.0 from 1
-    if type(mark) is not int or type(own) is not int or {mark, own} != {1, 2}:
-        raise ValueError(f"mark and own must be 1 and 2, got {mark!r} and {own!r}")
+    if type(mark) is not int or mark not in (1, 2):
+        raise ValueError(f"mark must be 1 or 2, got {mark!r}")
     lang.dfa.path(word)  # checks the letters
-    return _union_tail(lang, word, mark, own, optional)
+    return _union_tail(lang, word, mark, optional)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _union_tail(lang: Lang, word: Word, mark: int, own: int, optional: bool) -> Lang:
+def _union_tail(lang: Lang, word: Word, mark: int, optional: bool) -> Lang:
     """union_tail for arguments already checked, such as a TellEvent's.
 
     With q the state that word leads to, lang already holds word.T when
@@ -146,6 +147,7 @@ def _union_tail(lang: Lang, word: Word, mark: int, own: int, optional: bool) -> 
     which `Register.add_cycle` merges); then q with T; then the states
     along word, from the last letter back.
     """
+    own = 3 - mark
     delta, accepting = lang.dfa.delta, lang.dfa.accepting
     path = lang.dfa.path(word)
     q = path.pop()

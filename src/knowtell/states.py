@@ -32,6 +32,18 @@ class ModelKind(enum.Enum):
     UNDERSTANDING = "understanding"
 
 
+def model_kind(model: ModelKind | str) -> ModelKind:
+    """The ModelKind itself or the one its value names; ScenarioError, which
+    lists the models, for anything else."""
+    if isinstance(model, ModelKind):
+        return model
+    try:
+        return ModelKind(model)
+    except ValueError:
+        names = ", ".join(repr(m.value) for m in ModelKind)
+        raise ScenarioError(f"model must be one of {names}, got {model!r}") from None
+
+
 @dataclass(frozen=True)
 class Scenario:
     """The full fact set, each side's own facts, and the model."""
@@ -45,10 +57,6 @@ class Scenario:
     def make(cls, facts: Iterable[str], side_a: Iterable[str],
              side_b: Iterable[str], model: ModelKind | str) -> "Scenario":
         """Normalize plain iterables and strings into a validated scenario."""
-        try:
-            model = ModelKind(model)
-        except ValueError:
-            pass  # __post_init__ names the models
         return cls(tuple(facts), frozenset(side_a), frozenset(side_b), model)
 
     def __post_init__(self):
@@ -64,9 +72,8 @@ class Scenario:
                 raise ScenarioError(
                     f"{label} facts not in the fact set: {', '.join(stray)}"
                 )
-        if not isinstance(self.model, ModelKind):
-            names = ", ".join(repr(m.value) for m in ModelKind)
-            raise ScenarioError(f"model must be one of {names}, got {self.model!r}")
+        # a model's value stands for the model, as in `make` and `step`
+        object.__setattr__(self, "model", model_kind(self.model))
 
     def side(self, agent: int) -> frozenset[str]:
         check_agent(agent)

@@ -139,18 +139,21 @@ def test_reports_deterministic_given_seed():
 
 
 def test_mutation_breaks_only_the_success_check():
-    reports = run_all_checks(
-        CheckConfig(max_facts=2, depth=4, traces=5,
-                    disable_understanding=True)
-    )
+    config = CheckConfig(max_facts=2, depth=4, traces=5)
+    reports = run_all_checks(dataclasses.replace(config, disable_understanding=True))
     by_name = {r.name: r for r in reports}
     assert by_name["success-theorems"].status == "fail"
     assert by_name["success-theorems"].violations
     witness = by_name["success-theorems"].violations[0]
     assert "understanding" in witness.scenario
+    # the fixture reaches the success check only: every other report passes
+    # and is the unmutated one, timing aside
+    plain = {r.name: r for r in run_all_checks(config)}
     for name, report in by_name.items():
         if name != "success-theorems":
             assert report.status == "pass", name
+            assert (dataclasses.replace(report, millis=0)
+                    == dataclasses.replace(plain[name], millis=0)), name
 
 
 def test_violations_replay():

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from knowtell import cli
-from knowtell.checks import CheckReport, Violation
+from knowtell.checks import CheckConfig, CheckReport, Violation
 from knowtell.cli import emit_report, load_scenario, load_trace, main
 from knowtell.oracle import MAX_ORACLE_DEPTH
 
@@ -113,6 +113,14 @@ def test_check_clean_run(capsys):
     assert code == 0
     assert "all checks passed" in out
     assert "PASS language-equivalence" in out
+
+
+def test_check_defaults_are_check_configs(monkeypatch, capsys):
+    ran = []
+    monkeypatch.setattr(cli, "run_all_checks", lambda config: ran.append(config) or [])
+    assert main(["check"]) == 0
+    assert main(["check", "--mutate", "no-understanding"]) == 0
+    assert ran == [CheckConfig(), CheckConfig(disable_understanding=True)]
 
 
 def test_check_json_schema(capsys):

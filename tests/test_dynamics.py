@@ -1,11 +1,12 @@
+import dataclasses
 import hashlib
 import random
+import re
 import sys
 
 import pytest
 
 from knowtell import dynamics, langs, regexes
-from knowtell.checks import _engine_scenario
 from knowtell.dynamics import (
     TellError,
     TellEvent,
@@ -37,6 +38,7 @@ from knowtell.states import (
     KnowledgeState,
     ModelKind,
     Scenario,
+    ScenarioError,
     UnknownFactError,
     common_knowledge,
     initial_state,
@@ -60,6 +62,13 @@ def test_tell_event_validation():
     for sender, receiver in ((True, 2), (1.0, 2), (1, 2.0)):
         with pytest.raises(SentenceError):
             TellEvent(sender, receiver, Sentence("a"))
+
+
+@pytest.mark.parametrize("message", ["a", ("a", ()), None], ids=["str", "pair", "none"])
+def test_tell_event_refuses_a_message_that_is_not_a_sentence(message):
+    with pytest.raises(TellError,
+                       match=rf"^message must be a Sentence, got {re.escape(repr(message))}$"):
+        TellEvent(1, 2, message)
 
 
 def test_step_gains_tagged_message(worked_example):
@@ -112,6 +121,23 @@ def test_step_requires_truthful_sender(worked_example):
              ModelKind.UNDERSTANDING)
 
 
+def test_step_takes_the_models_scenario_make_takes(worked_example):
+    state_a = initial_state(1, worked_example)
+    state_b = initial_state(2, worked_example)
+    event = TellEvent(1, 2, parse_sentence("a"))
+    for kind in ModelKind:
+        assert (step(state_a, state_b, event, kind.value)
+                == step(state_a, state_b, event, kind))
+    # a receiver told a under understanding, by name, knows bare a
+    _, told = step(state_a, state_b, event, "understanding")
+    assert knows(told, parse_sentence("a"))
+    for bad in ("bogus", None, 7):
+        with pytest.raises(ScenarioError, match=(
+                "^model must be one of 'communication', 'understanding', "
+                rf"got {re.escape(repr(bad))}$")):
+            step(state_a, state_b, event, bad)
+
+
 def test_step_requires_the_sides_in_order():
     scenario = Scenario.make(["a"], ["a"], ["a"], "communication")
     state_a = initial_state(1, scenario)
@@ -159,9 +185,9 @@ def test_repeated_tell_leaves_states_unchanged(worked_example):
     assert all(again_b.langs[f] is state_b.langs[f] for f in worked_example.facts)
 
 
-def tell_gain(suffix, sender, receiver, understanding):
+def tell_gain(suffix, sender, understanding):
     # what the receiver's language for the told fact gains from one tell
-    return prefixed(suffix, from_ast(_tell_tail(sender, receiver, understanding)))
+    return prefixed(suffix, from_ast(_tell_tail(sender, understanding)))
 
 
 @pytest.mark.parametrize("model", list(ModelKind))
@@ -179,7 +205,7 @@ def test_step_is_union_with_gain_or_unchanged(model):
             receiver = state_b if event.sender == 1 else state_a
             old = receiver.langs[event.message.fact]
             gain = tell_gain(event.message.suffix, event.sender,
-                             event.receiver, model is ModelKind.UNDERSTANDING)
+                             model is ModelKind.UNDERSTANDING)
             after_a, after_b = step(state_a, state_b, event, model)
             new_receiver = after_b if event.sender == 1 else after_a
             if subset(gain, old):
@@ -428,14 +454,13 @@ def test_ck_stays_empty_along_finite_traces(worked_example):
 
 
 def test_disable_understanding_matches_communication(worked_example):
-    # the checks' self-test fixture runs an understanding scenario under the
-    # communication rule, in the closed form and tell by tell
+    # the success check's self-test fixture solves an understanding scenario
+    # under the communication rule; tell by tell, that rule drops the bare gain
     scenario = Scenario.make(
         worked_example.facts, worked_example.side_a, worked_example.side_b,
         "understanding",
     )
-    assert _engine_scenario(scenario, False) is scenario
-    engine = _engine_scenario(scenario, True)
+    engine = dataclasses.replace(scenario, model=ModelKind.COMMUNICATION)
     assert engine == worked_example
     mutated = saturate(engine)
     plain = saturate(worked_example)

@@ -136,7 +136,7 @@ def test_contains_cone_examples():
     ALL_WORDS.contains,
     lambda word: contains_cone(ALL_WORDS, word),
     lambda word: prefixed(word, EPSILON),
-    lambda word: union_tail(EMPTY, word, 1, 2, False),
+    lambda word: union_tail(EMPTY, word, 1, False),
 ], ids=["accepts", "contains", "contains_cone", "prefixed", "union_tail"])
 def test_word_walks_reject_the_same_bad_letter(walk):
     # True and 2.0 compare equal to a letter, so a cached answer for the
@@ -171,23 +171,22 @@ def test_long_words_build_in_linear_time():
 
 
 def test_union_tail_examples():
-    assert union_tail(EMPTY, (), 1, 2, False) is from_regex("12*")
-    assert union_tail(EMPTY, (2, 1), 1, 2, True) is from_regex("21(1|e)2*")
-    grown = union_tail(from_regex("1*"), (2,), 2, 1, False)
+    assert union_tail(EMPTY, (), 1, False) is from_regex("12*")
+    assert union_tail(EMPTY, (2, 1), 1, True) is from_regex("21(1|e)2*")
+    grown = union_tail(from_regex("1*"), (2,), 2, False)
     assert grown is from_regex("1*|221*")
     # nothing new: the very same object comes back
-    assert union_tail(grown, (2,), 2, 1, False) is grown
-    assert union_tail(ALL_WORDS, (1, 2), 2, 1, True) is ALL_WORDS
+    assert union_tail(grown, (2,), 2, False) is grown
+    assert union_tail(ALL_WORDS, (1, 2), 2, True) is ALL_WORDS
     # the own-mark run from the mark's successor loops through two states,
     # which the tail makes equal
-    assert union_tail(from_regex("1(22)*"), (), 1, 2, False) is from_regex("12*")
-    assert union_tail(from_regex("1(22)*1"), (), 1, 2, False) is from_regex("12*|1(22)*1")
+    assert union_tail(from_regex("1(22)*"), (), 1, False) is from_regex("12*")
+    assert union_tail(from_regex("1(22)*1"), (), 1, False) is from_regex("12*|1(22)*1")
     with pytest.raises(ValueError):
-        union_tail(EMPTY, (3,), 1, 2, False)
-    with pytest.raises(ValueError):
-        union_tail(EMPTY, (), 1, 1, False)
-    with pytest.raises(ValueError, match="mark and own"):
-        union_tail(EMPTY, (), True, 2, False)
+        union_tail(EMPTY, (3,), 1, False)
+    for bad in (True, 3):
+        with pytest.raises(ValueError, match=rf"^mark must be 1 or 2, got {bad!r}$"):
+            union_tail(EMPTY, (), bad, False)
 
 
 def test_to_dot_shape():
@@ -382,7 +381,7 @@ def test_renumber_matches_dict_numbering(table):
 
 def union_with_gain(lang, word, sender, understanding):
     # the general route: the tell's gain as a language, then inclusion and union
-    gain = prefixed(word, from_ast(_tell_tail(sender, 3 - sender, understanding)))
+    gain = prefixed(word, from_ast(_tell_tail(sender, understanding)))
     return lang if subset(gain, lang) else union(lang, gain)
 
 
@@ -390,11 +389,11 @@ def union_with_gain(lang, word, sender, understanding):
 @given(st.one_of(langs_st, minimal_dfa_langs()), words_st, words_st,
        st.sampled_from((1, 2)), st.booleans())
 def test_union_tail_is_union_with_gain(lang, word, again, sender, understanding):
-    grown = union_tail(lang, word, sender, 3 - sender, understanding)
+    grown = union_tail(lang, word, sender, understanding)
     assert grown is union_with_gain(lang, word, sender, understanding)
     # a second tell, from either side, into the grown language
     for second in (1, 2):
-        assert (union_tail(grown, again, second, 3 - second, understanding)
+        assert (union_tail(grown, again, second, understanding)
                 is union_with_gain(grown, again, second, understanding))
 
 
@@ -451,7 +450,7 @@ def test_module_constants_are_canonical():
 def test_every_operation_returns_canonical_acceptors(r, s, word):
     a, b = from_ast(r), from_ast(s)
     for lang in (a, b, union(a, b), concat(a, b), star(a), prefixed(word, a),
-                 union_tail(a, word, 1, 2, True), union_tail(b, word, 2, 1, False)):
+                 union_tail(a, word, 1, True), union_tail(b, word, 2, False)):
         assert canonical_dfa(lang.dfa) == lang.dfa
 
 
@@ -486,7 +485,7 @@ def test_weak_interning_keeps_one_object_per_language():
     # rebuilt by two routes, it is again one object
     rebuilt = from_regex("221(2|e)1*")
     assert rebuilt.dfa == dfa and Lang._interned[dfa] is rebuilt
-    assert union_tail(EMPTY, (2, 2, 1), 2, 1, True) is rebuilt
+    assert union_tail(EMPTY, (2, 2, 1), 2, True) is rebuilt
     assert copy.copy(rebuilt) is rebuilt
     assert copy.deepcopy(rebuilt) is rebuilt
     assert pickle.loads(pickle.dumps(rebuilt)) is rebuilt

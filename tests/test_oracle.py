@@ -1,7 +1,6 @@
 import pytest
 
 from knowtell import automata, langs, oracle
-from knowtell.checks import _engine_scenario, check_oracle_equivalence
 from knowtell.dynamics import saturate
 from knowtell.oracle import (
     MAX_ORACLE_DEPTH,
@@ -9,8 +8,8 @@ from knowtell.oracle import (
     bounded_closure,
     compare_symbolic,
 )
-from knowtell.sentences import Sentence, append_knows, parse_sentence
-from knowtell.states import ModelKind, Scenario
+from knowtell.sentences import append_knows
+from knowtell.states import Scenario
 
 
 def texts(bounded: BoundedKnowledge) -> set[str]:
@@ -113,33 +112,6 @@ def test_compare_symbolic_reports_mismatches(worked_example, monkeypatch):
     mismatch = next(m for m in report.mismatches if (m.agent, m.fact) == (1, "b"))
     assert "b" in mismatch.only_symbolic
     assert mismatch.only_bounded == ()
-
-
-def test_mutation_threads_through_both_engines(worked_example, monkeypatch):
-    # the checks' self-test fixture hands both engines the communication rule
-    seen = []
-
-    def spy(name):
-        real = getattr(oracle, name)
-
-        def call(scenario, *args):
-            seen.append((name, scenario.model))
-            return real(scenario, *args)
-
-        return call
-
-    for name in ("saturate", "bounded_closure"):
-        monkeypatch.setattr(oracle, name, spy(name))
-    assert check_oracle_equivalence(2, 4, disable_understanding=True).status == "pass"
-    assert {name for name, _ in seen} == {"saturate", "bounded_closure"}
-    assert {model for _, model in seen} == {ModelKind.COMMUNICATION}
-
-    scenario = Scenario.make(
-        worked_example.facts, worked_example.side_a, worked_example.side_b,
-        "understanding",
-    )
-    side_a, _ = bounded_closure(_engine_scenario(scenario, True), 2)
-    assert "b" not in texts(side_a)
 
 
 def test_bad_bound_rejected(worked_example):

@@ -1,0 +1,19 @@
+"""The README's library examples run as written."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+BLOCKS = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"),
+                    re.MULTILINE | re.DOTALL)
+
+
+def test_readme_has_python_examples():
+    assert BLOCKS
+
+
+@pytest.mark.parametrize("code", BLOCKS, ids=[f"block{i}" for i in range(len(BLOCKS))])
+def test_readme_python_block_runs(code):
+    exec(compile(code, f"{README.name} python block", "exec"), {})
