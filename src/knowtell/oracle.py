@@ -41,10 +41,10 @@ def bounded_closure(scenario: Scenario, bound: int
     bare f.w. The universe of bounded sentences is finite and the held sets
     only grow, so the worklist empties at the least fixpoint.
     """
-    if bound < 0:
-        raise ValueError("bound must be >= 0")
-    if bound > MAX_ORACLE_DEPTH:
-        raise ValueError(f"bound must be <= {MAX_ORACLE_DEPTH}, got {bound}")
+    # the type test keeps out True and 2.0, which compare equal to ints
+    if type(bound) is not int or not 0 <= bound <= MAX_ORACLE_DEPTH:
+        raise ValueError(
+            f"bound must be an int in 0..{MAX_ORACLE_DEPTH}, got {bound!r}")
     understanding = scenario.model is ModelKind.UNDERSTANDING
     held: dict[int, set[tuple[str, Word]]] = {1: set(), 2: set()}
     todo = [(1, (f, ())) for f in scenario.side_a]

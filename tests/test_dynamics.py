@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from knowtell import dynamics, langs, regexes
+from knowtell import automata, dynamics, langs, regexes
 from knowtell.dynamics import (
     TellError,
     TellEvent,
@@ -258,6 +258,42 @@ def test_evicting_every_cache_keeps_the_pinned_acceptors(monkeypatch):
     test_traced_acceptors_and_ck_answers_are_pinned()
 
 
+def test_a_tiny_row_table_keeps_the_pinned_acceptors(monkeypatch):
+    # the pinned replay above, with the row table emptied every few acceptors:
+    # emptying it only ends the sharing of rows built before
+    monkeypatch.setattr(automata, "ROW_TABLE_SIZE", 8)
+    renumber, emptied = automata.renumber, []
+
+    def bounded_renumber(*args):
+        dfa = renumber(*args)
+        assert len(automata._ROWS) <= 8
+        emptied.append(not automata._ROWS)  # every acceptor has a row
+        return dfa
+
+    monkeypatch.setattr(automata, "renumber", bounded_renumber)
+    clear_language_caches()
+    test_traced_acceptors_and_ck_answers_are_pinned()
+    assert sum(emptied) > 1
+
+
+def test_every_way_of_building_an_acceptor_shares_its_rows(worked_example, monkeypatch):
+    # a fresh table, so that no emptying falls inside the run
+    monkeypatch.setattr(automata, "_ROWS", {})
+    clear_language_caches()
+    held_elsewhere = set(Lang._interned.values())
+    rng = random.Random(6)
+    state_a, state_b = initial_state(1, worked_example), initial_state(2, worked_example)
+    for _ in range(300):  # a register's to_dfa
+        event = sample_tell(state_a, state_b, worked_example.facts, rng, 8)
+        state_a, state_b = step(state_a, state_b, event, worked_example.model)
+    limit = saturate(worked_example)  # determinize and canonical_dfa
+    compiled = from_regex("1(21)*2|22*1")
+    built = set(Lang._interned.values()) - held_elsewhere
+    assert compiled in built and limit.state_b.langs["a"] in built
+    assert state_a.langs["a"] in built and state_b.langs["b"] in built
+    assert all(automata._ROWS[row] is row for lang in built for row in lang.dfa.delta)
+
+
 def cache_room():
     """How many languages the caches can hold: a union_tail entry holds its
     key and its result, a _solve_fact entry both sides' limits, any other
@@ -287,6 +323,7 @@ def test_a_long_session_keeps_the_intern_table_bounded(worked_example):
             state_a, state_b = step(state_a, state_b, event, worked_example.model)
         live = {*state_a.langs.values(), *state_b.langs.values()}
         assert len(Lang._interned) <= len(held_elsewhere) + len(live) + cache_room()
+        assert len(automata._ROWS) <= automata.ROW_TABLE_SIZE
     clear_language_caches()
     assert set(Lang._interned.values()) <= held_elsewhere | live
 

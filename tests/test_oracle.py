@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from knowtell import automata, langs, oracle
@@ -120,6 +122,15 @@ def test_bad_bound_rejected(worked_example):
             bounded_closure(worked_example, bound)
         with pytest.raises(ValueError):
             compare_symbolic(worked_example, bound)
+
+
+@pytest.mark.parametrize("bound", [True, 2.0], ids=["bool", "float"])
+@pytest.mark.parametrize("run", [bounded_closure, compare_symbolic],
+                         ids=["closure", "compare"])
+def test_a_bound_that_is_not_an_int_is_rejected(worked_example, run, bound):
+    # True and 2.0 compare equal to ints, so only a type test keeps them out
+    with pytest.raises(ValueError, match=re.escape(f"got {bound!r}")):
+        run(worked_example, bound)
 
 
 def test_closure_uses_no_automata(worked_example, monkeypatch):
