@@ -7,12 +7,13 @@ trace generation and always flows from an explicit seed.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
 import time
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
-from .dynamics import _tell, saturate
+from .dynamics import _tell_fact, saturate
 from .langs import Lang, cone_word, count_words, distinguishing_word, word_at
 from .oracle import compare_symbolic
 from .sentences import Sentence, Word, format_sentence
@@ -73,15 +74,21 @@ def subsets_of(facts: Sequence[str]) -> list[tuple[str, ...]]:
     ]
 
 
+def _require_count(name: str, value: object, low: int, high: int | None = None):
+    # the type test keeps out True and 2.0, which compare equal to ints
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < low or (high is not None and value > high):
+        wanted = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ValueError(f"{name} must be {wanted}, got {value}")
+
+
 def scenario_grid(max_facts: int, model: ModelKind) -> Iterator[Scenario]:
-    """Every subset pair over fact sets of size 1..max_facts."""
-    if not 1 <= max_facts <= len(FACT_POOL):
-        raise ValueError(f"max_facts must be in 1..{len(FACT_POOL)}")
-    for size in range(1, max_facts + 1):
-        facts = FACT_POOL[:size]
-        for side_a in subsets_of(facts):
-            for side_b in subsets_of(facts):
-                yield Scenario.make(facts, side_a, side_b, model)
+    """Every subset pair over fact sets of size 1..max_facts (checked at the call)."""
+    _require_count("max_facts", max_facts, 1, len(FACT_POOL))
+    return (Scenario.make(facts, side_a, side_b, model)
+            for facts in (FACT_POOL[:size] for size in range(1, max_facts + 1))
+            for side_a in subsets_of(facts) for side_b in subsets_of(facts))
 
 
 def _inequality_witness(state_a: KnowledgeState, state_b: KnowledgeState,
@@ -119,31 +126,31 @@ def check_language_equivalence_props(max_facts: int = 3) -> CheckReport:
     return _finish("language-equivalence", count, violations, started)
 
 
-def _block_counts(state_a: KnowledgeState, state_b: KnowledgeState,
-                  facts: Sequence[str], depth: int) -> list[int]:
+def _block_counts(pairs: Mapping[str, tuple[Lang, Lang]], facts: Sequence[str],
+                  depth: int) -> list[int]:
     """How many truthful messages of depth <= depth each (sender, fact) block
     offers, in the order a draw ranks them: side 1's facts, then side 2's."""
-    return [count_words(state.langs[fact], depth)
-            for state in (state_a, state_b) for fact in facts]
+    return [count_words(pairs[fact][side], depth)
+            for side in (0, 1) for fact in facts]
 
 
-def _draw_tell(state_a: KnowledgeState, state_b: KnowledgeState,
-               facts: Sequence[str], counts: Sequence[int], rng: random.Random,
-               depth: int) -> tuple[int, str, Word] | None:
+def _draw_tell(pairs: Mapping[str, tuple[Lang, Lang]], facts: Sequence[str],
+               counts: Sequence[int], rng: random.Random, depth: int
+               ) -> tuple[int, str, Word] | None:
     """A uniformly random truthful tell (sender, fact, word) with message
-    depth <= depth, given the states' `_block_counts` at that depth: one
-    rng.randrange over the candidates ranked by sender, fact, then (length,
-    word), which draws exactly as rng.choice over that ranked list would.
-    The word comes from the sender's language: `_tell` may take it as is."""
+    depth <= depth, given the per-fact language pairs and their
+    `_block_counts` at that depth: one rng.randrange over the candidates
+    ranked by sender, fact, then (length, word), which draws exactly as
+    rng.choice over that ranked list would. The word comes from the
+    sender's language: `_tell_fact` may take it as is."""
     total = sum(counts)
     if not total:
         return None
     index = rng.randrange(total)
     for block, n in enumerate(counts):
         if index < n:
-            state = state_b if block >= len(facts) else state_a
-            fact = facts[block % len(facts)]
-            return state.agent, fact, word_at(state.langs[fact], depth, index)
+            side, fact = block // len(facts), facts[block % len(facts)]
+            return side + 1, fact, word_at(pairs[fact][side], depth, index)
         index -= n
 
 
@@ -158,94 +165,88 @@ def check_ck_dynamics(traces: int = 100, seed: int = 42) -> CheckReport:
     Covers every subset pair over the two-fact set; reproducible from the
     seed alone. Zero traces is refused: that check would pass unexercised.
 
-    A tell grows at most one language, and interning shows which by
-    identity. So a trace carries its block counts and one answer per fact
-    and re-derives only what a tell changed; the draws are exactly those of
-    a full recount before each one. A draw is the sender's by construction,
-    so the check tells through the unchecked `dynamics._tell`, not `step`,
-    and builds a `Sentence` only for a violation's text.
+    No rule mixes facts: a trace is a language pair per fact plus its block
+    counts and ck set, and a tell is `dynamics._tell_fact` on one pair. A
+    bare fact is common knowledge when both its languages start in the
+    universal state, a bit the cone scan takes once per language. Only the
+    sides a tell changed are re-derived; the draws are those of a full
+    recount before each one.
     """
-    if traces < 1:
-        raise ValueError(f"traces must be >= 1, got {traces}")
+    _require_count("traces", traces, 1)
     started = time.perf_counter()
     rng = random.Random(seed)
     violations: list[Violation] = []
     count = 0
     facts = FACT_POOL[:2]
-    bare = {f: Sentence(f) for f in facts}
 
     def report(trace_index: int, step_index: int, text: str) -> None:
         violations.append(Violation(
             scenario.describe(), f"trace {trace_index} prefix {step_index}: {text}"
         ))
 
-    def scan(state: KnowledgeState, fact: str, trace_index: int,
+    def scan(lang: Lang, side: int, fact: str, trace_index: int,
              step_index: int) -> None:
-        # a language is searched once per scenario: one set for the whole
+        # a language is searched once per scenario: one table for the whole
         # run would hold every language at once and raise the peak memory
-        scanned.add(state.langs[fact])
-        word = cone_word(state.langs[fact])
+        word = cone_word(lang)
+        universal[lang] = word == ()  # the bare fact's whole cone
         if word is not None:
             report(trace_index, step_index,
-                   f"side {state.agent}'s language for {fact} holds every "
+                   f"side {side}'s language for {fact} holds every "
                    f"extension of '{format_sentence(Sentence(fact, word))}'")
 
     for model in (ModelKind.COMMUNICATION, ModelKind.UNDERSTANDING):
         understanding = model is ModelKind.UNDERSTANDING
-        for side_a in subsets_of(facts):
-            for side_b in subsets_of(facts):
-                scenario = Scenario.make(facts, side_a, side_b, model)
-                count += 1
-                scanned: set[Lang] = set()
-                start = (initial_state(1, scenario), initial_state(2, scenario))
-                for state in start:
-                    for fact in facts:
-                        if state.langs[fact] not in scanned:
-                            scan(state, fact, 0, 0)
-                start_counts = _block_counts(*start, facts, SAMPLE_DEPTH)
-                start_ck = frozenset(
-                    f for f in facts if common_knowledge(*start, bare[f])
-                )
-                for trace_index in range(traces):
-                    length = rng.randint(0, TRACE_LENGTH)
-                    state_a, state_b = start
-                    counts = list(start_counts)
-                    recount: dict[int, Lang] = {}  # block -> its grown language
-                    ck_set, previous = start_ck, frozenset()
-                    for step_index in range(length + 1):
-                        if ck_set:
-                            report(trace_index, step_index,
-                                   f"common knowledge of "
-                                   f"{{{','.join(sorted(ck_set))}}} on a finite trace")
-                        if not previous <= ck_set:
-                            report(trace_index, step_index,
-                                   f"common knowledge lost: "
-                                   f"{{{','.join(sorted(previous - ck_set))}}}")
-                        previous = ck_set
-                        if step_index == length:
-                            break
-                        for block, lang in recount.items():
-                            counts[block] = count_words(lang, SAMPLE_DEPTH)
-                        recount.clear()
-                        draw = _draw_tell(state_a, state_b, facts, counts, rng,
-                                          SAMPLE_DEPTH)
-                        if draw is None:
-                            break
-                        after = _tell(state_a, state_b, *draw, understanding)
-                        for side, old, new in zip((0, 1), (state_a, state_b), after):
-                            if new is old:
-                                continue
-                            for i, fact in enumerate(facts):
-                                lang = new.langs[fact]
-                                if lang is old.langs[fact]:
-                                    continue
-                                recount[side * len(facts) + i] = lang
-                                if lang not in scanned:
-                                    scan(new, fact, trace_index, step_index + 1)
-                                if (common_knowledge(*after, bare[fact])
-                                        != (fact in ck_set)):
-                                    ck_set ^= {fact}
-                        state_a, state_b = after
+        for side_a, side_b in itertools.product(subsets_of(facts), repeat=2):
+            scenario = Scenario.make(facts, side_a, side_b, model)
+            count += 1
+            universal: dict[Lang, bool] = {}  # does it hold the bare fact's cone?
+            states = (initial_state(1, scenario), initial_state(2, scenario))
+            start = {f: (states[0].langs[f], states[1].langs[f]) for f in facts}
+            for side, fact in itertools.product((0, 1), facts):
+                if start[fact][side] not in universal:
+                    scan(start[fact][side], side + 1, fact, 0, 0)
+            start_counts = _block_counts(start, facts, SAMPLE_DEPTH)
+            start_ck = frozenset(f for f, (lang_a, lang_b) in start.items()
+                                 if universal[lang_a] and universal[lang_b])
+            for trace_index in range(traces):
+                length = rng.randint(0, TRACE_LENGTH)
+                pairs = dict(start)
+                counts = list(start_counts)
+                recount: dict[int, Lang] = {}  # block -> its grown language
+                ck_set, previous = start_ck, frozenset()
+                for step_index in range(length + 1):
+                    if ck_set:
+                        report(trace_index, step_index,
+                               f"common knowledge of "
+                               f"{{{','.join(sorted(ck_set))}}} on a finite trace")
+                    if not previous <= ck_set:
+                        report(trace_index, step_index,
+                               f"common knowledge lost: "
+                               f"{{{','.join(sorted(previous - ck_set))}}}")
+                    previous = ck_set
+                    if step_index == length:
+                        break
+                    for block, lang in recount.items():
+                        counts[block] = count_words(lang, SAMPLE_DEPTH)
+                    recount.clear()
+                    draw = _draw_tell(pairs, facts, counts, rng, SAMPLE_DEPTH)
+                    if draw is None:
+                        break
+                    sender, fact, word = draw
+                    pair = pairs[fact]
+                    after = pairs[fact] = _tell_fact(pair, sender, word, understanding)
+                    if after is pair:
+                        continue
+                    for side in (0, 1):
+                        lang = after[side]
+                        if lang is not pair[side]:
+                            recount[side * len(facts) + facts.index(fact)] = lang
+                            if lang not in universal:
+                                scan(lang, side + 1, fact, trace_index, step_index + 1)
+                    held = universal[after[0]] and universal[after[1]]
+                    if held != (fact in ck_set):
+                        ck_set ^= {fact}
     return _finish("ck-dynamics", count, violations, started)
 
 
@@ -256,6 +257,7 @@ def check_success_theorems(max_facts: int = 3, *,
     under full understanding. Coverage gaps with equal languages are listed
     as notes, not violations. The self-test fixture disable_understanding
     (`check --mutate no-understanding`) solves that grid under communication."""
+    _require_count("max_facts", max_facts, 1, len(FACT_POOL))
     started = time.perf_counter()
     violations: list[Violation] = []
     notes: list[str] = []
@@ -338,27 +340,22 @@ def check_fixpoint_stability() -> CheckReport:
         scenario = Scenario.make(facts, side_a, side_b, model)
         count += 1
         result = saturate(scenario)
-        state_a, state_b = result.state_a, result.state_b
+        pairs = {f: (result.state_a.langs[f], result.state_b.langs[f])
+                 for f in facts}
         # no tell is kept, so the counts hold for every draw
-        counts = _block_counts(state_a, state_b, facts, STABILITY_DEPTH)
+        counts = _block_counts(pairs, facts, STABILITY_DEPTH)
         understanding = scenario.model is ModelKind.UNDERSTANDING
         for _ in range(STABILITY_TELLS):
-            draw = _draw_tell(state_a, state_b, facts, counts, rng,
-                              STABILITY_DEPTH)
+            draw = _draw_tell(pairs, facts, counts, rng, STABILITY_DEPTH)
             if draw is None:
                 break
-            after_a, after_b = _tell(state_a, state_b, *draw, understanding)
-            changed = [
-                f for f in facts
-                if after_a.langs[f] != state_a.langs[f]
-                or after_b.langs[f] != state_b.langs[f]
-            ]
-            if changed:
-                sender, fact, word = draw
+            sender, fact, word = draw
+            # no rule mixes facts: only the told fact's languages can grow
+            if _tell_fact(pairs[fact], sender, word, understanding) != pairs[fact]:
                 violations.append(Violation(
                     scenario.describe(),
                     f"telling '{Sentence(fact, word)}' from side {sender} grew "
-                    f"the language of {{{','.join(changed)}}}",
+                    f"the language of {{{fact}}}",
                 ))
     return _finish("fixpoint-stability", count, violations, started)
 

@@ -63,21 +63,17 @@ def _tell_tail(sender: int, understanding: bool) -> Regex:
     return cat(opt(mark) if understanding else mark, regexes.star(Lit(3 - sender)))
 
 
-def _tell(state_a: KnowledgeState, state_b: KnowledgeState, sender: int,
-          fact: str, word: Word, understanding: bool
-          ) -> tuple[KnowledgeState, KnowledgeState]:
-    """The tell rule, unchecked: the caller vouches that the states are in
-    side order, that the sender (1 or 2) knows fact.word and that both
-    states carry the fact. The receiver's language for the fact grows by
-    word.T (T as `_tell_tail` writes it), built from the few states the tell
-    adds; a tell that adds nothing returns the very same pair of states."""
-    receiver = state_b if sender == 1 else state_a
-    current = receiver.langs[fact]
+def _tell_fact(pair: tuple[Lang, Lang], sender: int, word: Word,
+               understanding: bool) -> tuple[Lang, Lang]:
+    """The tell rule on one fact, unchecked: pair is side 1's and side 2's
+    language for it, and the sender (1 or 2) must hold word. The receiver's
+    grows by word.T (T as `_tell_tail` writes it), built from the few states
+    the tell adds; a tell that adds nothing returns the very same pair."""
+    current = pair[2 - sender]
     grown = _union_tail(current, word, sender, understanding)
     if grown is current:
-        return state_a, state_b
-    new_receiver = KnowledgeState(receiver.agent, {**receiver.langs, fact: grown})
-    return (state_a, new_receiver) if sender == 1 else (new_receiver, state_b)
+        return pair
+    return (pair[0], grown) if sender == 1 else (grown, pair[1])
 
 
 def step(state_a: KnowledgeState, state_b: KnowledgeState, event: TellEvent,
@@ -86,18 +82,22 @@ def step(state_a: KnowledgeState, state_b: KnowledgeState, event: TellEvent,
     (ScenarioError), the states side 1's then side 2's (ValueError), the
     sender must know the message (TellError), and both states must carry
     its fact (UnknownFactError). The event checked its agents and message
-    when it was built; `_tell` then applies the rule.
+    when it was built; `_tell_fact` then applies the rule to its languages.
     """
     understanding = model_kind(model) is ModelKind.UNDERSTANDING
     if state_a.agent != 1 or state_b.agent != 2:
         raise ValueError("step takes the states of sides 1 and 2 in that order, "
                          f"got sides {state_a.agent} and {state_b.agent}")
-    pair, fact = (state_a, state_b), event.message.fact
-    if not knows(pair[event.sender - 1], event.message):
+    states, fact = (state_a, state_b), event.message.fact
+    if not knows(states[event.sender - 1], event.message):
         raise TellError(f"side {event.sender} does not know '{event.message}'")
-    pair[event.receiver - 1].lang_for(fact)  # UnknownFactError if it lacks the fact
-    return _tell(state_a, state_b, event.sender, fact, event.message.suffix,
-                 understanding)
+    pair = (state_a.lang_for(fact), state_b.lang_for(fact))  # UnknownFactError
+    after = _tell_fact(pair, event.sender, event.message.suffix, understanding)
+    if after is pair:
+        return state_a, state_b
+    side = event.receiver - 1
+    grown = KnowledgeState(event.receiver, {**states[side].langs, fact: after[side]})
+    return (state_a, grown) if side else (grown, state_b)
 
 
 def run_trace(scenario: Scenario, events: Sequence[TellEvent]

@@ -94,9 +94,12 @@ def compare_symbolic(scenario: Scenario, depth: int) -> OracleReport:
     result = saturate(scenario)
     mismatches = []
     for state, bounded in zip((result.state_a, result.state_b), closed):
+        by_fact = {fact: set() for fact in scenario.facts}  # one pass, not one per fact
+        for fact, word in bounded.pairs:
+            by_fact[fact].add(word)
         for fact in scenario.facts:
             symbolic = enumerate_words(state.langs[fact], depth)
-            brute = bounded.suffixes(fact)
+            brute = by_fact[fact]
             if symbolic != brute:
                 def render(words):
                     ordered = sorted(words, key=lambda w: (len(w), w))

@@ -1,7 +1,9 @@
 import dataclasses
 import hashlib
+import inspect
 import itertools
 import random
+import re
 import sys
 
 import pytest
@@ -25,18 +27,25 @@ from knowtell.checks import (
     scenario_grid,
     subsets_of,
 )
-from knowtell.dynamics import TellEvent, _tell, saturate, step
+from knowtell.dynamics import TellEvent, _tell_fact, saturate, step
 from knowtell.langs import ALL_WORDS, cone, contains_cone, count_words, union
 from knowtell.sentences import Sentence, format_sentence
-from knowtell.states import KnowledgeState, ModelKind, Scenario, initial_state, knows
+from knowtell.states import (KnowledgeState, ModelKind, Scenario, common_knowledge,
+                             initial_state, knows)
 from tests.test_langs import evicting
+
+
+def pairs_of(state_a, state_b, facts):
+    """Per fact, side 1's and side 2's language: what the checks carry."""
+    return {f: (state_a.langs[f], state_b.langs[f]) for f in facts}
 
 
 def sample_tell(state_a, state_b, facts, rng, depth):
     """One draw from fresh block counts, as the checks make it, as the
     TellEvent it stands for; None when no tell is possible."""
-    counts = _block_counts(state_a, state_b, facts, depth)
-    draw = _draw_tell(state_a, state_b, facts, counts, rng, depth)
+    pairs = pairs_of(state_a, state_b, facts)
+    counts = _block_counts(pairs, facts, depth)
+    draw = _draw_tell(pairs, facts, counts, rng, depth)
     if draw is None:
         return None
     sender, fact, word = draw
@@ -88,6 +97,26 @@ def test_ck_dynamics_passes_and_is_seeded():
 def test_ck_dynamics_refuses_to_run_no_trace(traces):
     with pytest.raises(ValueError, match="traces must be >= 1"):
         check_ck_dynamics(traces=traces)
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, "3"], ids=["true", "float", "str"])
+def test_the_check_entry_points_refuse_counts_that_are_not_ints(bad):
+    # True ran as one trace and 2.0 died in range(); each is now refused
+    # before any work, naming the value
+    calls = [
+        ("traces", lambda: check_ck_dynamics(bad)),
+        ("max_facts", lambda: scenario_grid(bad, ModelKind.COMMUNICATION)),
+        ("max_facts", lambda: check_language_equivalence_props(bad)),
+        ("max_facts", lambda: check_success_theorems(bad)),
+        ("max_facts", lambda: check_oracle_equivalence(bad)),
+    ]
+    for name, call in calls:
+        with pytest.raises(ValueError,
+                           match=rf"^{name} must be an int, got {re.escape(repr(bad))}$"):
+            call()
+    with pytest.raises(ValueError, match=rf"^bound must be an int in 0\.\.16, "
+                                         rf"got {re.escape(repr(bad))}$"):
+        check_oracle_equivalence(2, bad)
 
 
 def test_success_theorems_pass_with_gap_notes():
@@ -219,18 +248,30 @@ def test_sampler_matches_reference_on_saturated_states():
 
 
 def told_stream_digest(monkeypatch, run):
-    """SHA-256 over every (sender, fact, suffix, model) that run passes to
-    the check suite's tell rule."""
+    """SHA-256 over every (sender, fact, suffix, model) that run tells
+    through the check suite's rule: each draw, with the model of the rule
+    call that follows it on the drawn fact's pair."""
     digest = hashlib.sha256()
+    drawn = []
 
-    def recording(state_a, state_b, sender, fact, word, understanding):
+    def drawing(pairs, facts, counts, rng, depth):
+        draw = _draw_tell(pairs, facts, counts, rng, depth)
+        if draw is not None:
+            drawn.append((draw, pairs[draw[1]]))
+        return draw
+
+    def recording(pair, sender, word, understanding):
+        (drawn_sender, fact, drawn_word), drawn_pair = drawn.pop()
+        assert (drawn_sender, drawn_word, drawn_pair) == (sender, word, pair)
         suffix = "".join(map(str, word))
         digest.update(f"{sender} {fact} {suffix} "
                       f"{model_of(understanding).value}\n".encode())
-        return _tell(state_a, state_b, sender, fact, word, understanding)
+        return _tell_fact(pair, sender, word, understanding)
 
-    monkeypatch.setattr(checks, "_tell", recording)
+    monkeypatch.setattr(checks, "_draw_tell", drawing)
+    monkeypatch.setattr(checks, "_tell_fact", recording)
     run()
+    assert not drawn
     return digest.hexdigest()
 
 
@@ -252,7 +293,7 @@ def test_ck_dynamics_tell_stream_is_pinned(monkeypatch, seed, pinned):
 @pytest.mark.usefixtures("frozen_heap")
 def test_evicting_every_cache_keeps_the_tell_stream(monkeypatch):
     # the seed-42 pin, replayed through a tell that empties every cache first
-    monkeypatch.setattr(sys.modules[__name__], "_tell", evicting(_tell))
+    monkeypatch.setattr(sys.modules[__name__], "_tell_fact", evicting(_tell_fact))
     test_ck_dynamics_tell_stream_is_pinned(monkeypatch, *TELL_STREAM_PINS[0])
 
 
@@ -263,27 +304,41 @@ def test_fixpoint_stability_tell_stream_is_pinned(monkeypatch):
 
 
 def test_the_checks_tell_by_the_rule_that_step_guards(monkeypatch):
-    # along every tell ck-dynamics makes, the unchecked core and the checked
-    # step agree, and the sender knows the drawn word, which step would have
-    # proved again
+    # along every tell ck-dynamics makes, the unchecked rule on the told
+    # fact's pair and the checked step on the whole states agree, and the
+    # sender knows the drawn word, which step would have proved again
     tells = grown = 0
+    drawn = []
 
-    def both(state_a, state_b, sender, fact, word, understanding):
+    def drawing(pairs, facts, counts, rng, depth):
+        draw = _draw_tell(pairs, facts, counts, rng, depth)
+        if draw is not None:
+            drawn.append((draw, dict(pairs)))
+        return draw
+
+    def both(pair, sender, word, understanding):
         nonlocal tells, grown
+        (drawn_sender, fact, drawn_word), pairs = drawn.pop()
+        assert (drawn_sender, drawn_word, pairs[fact]) == (sender, word, pair)
+        states = tuple(KnowledgeState(agent, {f: p[agent - 1] for f, p in pairs.items()})
+                       for agent in (1, 2))
         event = TellEvent(sender, 3 - sender, Sentence(fact, word))
-        assert knows((state_a, state_b)[sender - 1], event.message)
-        checked = step(state_a, state_b, event, model_of(understanding))
-        core = _tell(state_a, state_b, sender, fact, word, understanding)
-        assert [c is s for c, s in zip(checked, (state_a, state_b))] == [
-            c is s for c, s in zip(core, (state_a, state_b))]
-        assert checked == core  # interned languages: == is identity
+        assert knows(states[sender - 1], event.message)
+        checked = step(*states, event, model_of(understanding))
+        core = _tell_fact(pair, sender, word, understanding)
+        assert [c is s for c, s in zip(checked, states)] == [
+            c is p for c, p in zip(core, pair)]
+        # interned languages: == is identity
+        assert checked == tuple(KnowledgeState(s.agent, {**s.langs, fact: lang})
+                                for s, lang in zip(states, core))
         tells += 1
-        grown += core[0] is not state_a or core[1] is not state_b
+        grown += core is not pair
         return core
 
-    monkeypatch.setattr(checks, "_tell", both)
+    monkeypatch.setattr(checks, "_draw_tell", drawing)
+    monkeypatch.setattr(checks, "_tell_fact", both)
     assert check_ck_dynamics(20, 42).status == "pass"
-    assert tells > grown > 0
+    assert tells > grown > 0 and not drawn
 
 
 def test_ck_dynamics_counts_only_the_languages_it_draws_from(monkeypatch):
@@ -295,9 +350,9 @@ def test_ck_dynamics_counts_only_the_languages_it_draws_from(monkeypatch):
         counted.add(lang)
         return count_words(lang, depth)
 
-    def drawing(state_a, state_b, facts, counts, rng, depth):
-        drawn_from.update(s.langs[f] for s in (state_a, state_b) for f in facts)
-        return _draw_tell(state_a, state_b, facts, counts, rng, depth)
+    def drawing(pairs, facts, counts, rng, depth):
+        drawn_from.update(pairs[f][side] for f in facts for side in (0, 1))
+        return _draw_tell(pairs, facts, counts, rng, depth)
 
     monkeypatch.setattr(checks, "count_words", counting)
     monkeypatch.setattr(checks, "_draw_tell", drawing)
@@ -305,55 +360,75 @@ def test_ck_dynamics_counts_only_the_languages_it_draws_from(monkeypatch):
     assert counted == drawn_from
 
 
-def growing_tells(traces, seed):
-    """Every tell of check_ck_dynamics(traces, seed) that grows a language,
-    replayed from scratch: (scenario, trace, the prefix it leads to, event,
-    the pair it leads to)."""
+def replay(traces, seed, k=None, mutate=None):
+    """check_ck_dynamics(traces, seed) replayed from scratch through step on
+    whole states: (scenario, trace, prefix, the event that led there or
+    None, the pair of states) for every prefix it reaches, in order. Given
+    k and mutate, the k-th tell that grows a language is mutated as
+    mutant_tell(k, mutate) mutates it in the check."""
     rng = random.Random(seed)
     facts = FACT_POOL[:2]
+    grown = 0
     for model in (ModelKind.COMMUNICATION, ModelKind.UNDERSTANDING):
         for side_a, side_b in itertools.product(subsets_of(facts), repeat=2):
             scenario = Scenario.make(facts, side_a, side_b, model)
             for trace_index in range(traces):
                 length = rng.randint(0, TRACE_LENGTH)
-                state_a, state_b = initial_state(1, scenario), initial_state(2, scenario)
-                for step_index in range(length):
-                    event = sample_tell(state_a, state_b, facts, rng, SAMPLE_DEPTH)
+                states = (initial_state(1, scenario), initial_state(2, scenario))
+                event = None
+                for step_index in range(length + 1):
+                    yield scenario, trace_index, step_index, event, states
+                    if step_index == length:
+                        break
+                    event = sample_tell(*states, facts, rng, SAMPLE_DEPTH)
                     if event is None:
                         break
-                    after = step(state_a, state_b, event, model)
-                    if after != (state_a, state_b):
-                        yield scenario, trace_index, step_index + 1, event, after
-                    state_a, state_b = after
+                    after = step(*states, event, model)
+                    if after != states:
+                        grown += 1
+                        if grown == k:
+                            fact = event.message.fact
+                            pair = mutate(tuple(s.langs[fact] for s in after),
+                                          event.receiver)
+                            after = tuple(KnowledgeState(s.agent, {**s.langs, fact: lang})
+                                          for s, lang in zip(after, pair))
+                    states = after
+
+
+def growing_tells(traces, seed):
+    """Every tell of check_ck_dynamics(traces, seed) that grows a language,
+    replayed from scratch: (scenario, trace, the prefix it leads to, event,
+    the pair it leads to)."""
+    before = None
+    for scenario, trace_index, prefix, event, states in replay(traces, seed):
+        if prefix and states != before:
+            yield scenario, trace_index, prefix, event, states
+        before = states
 
 
 def mutant_tell(k, mutate):
     """The tell rule, except that the k-th tell that grows a language also
-    applies mutate to the pair it returns, given the receiver and the fact."""
+    applies mutate to the pair it returns, given the receiver."""
     grown = 0
 
-    def mutant(state_a, state_b, sender, fact, word, understanding):
+    def mutant(pair, sender, word, understanding):
         nonlocal grown
-        after = _tell(state_a, state_b, sender, fact, word, understanding)
-        if after[0] is state_a and after[1] is state_b:
+        after = _tell_fact(pair, sender, word, understanding)
+        if after is pair:
             return after
         grown += 1
-        return mutate(after, 3 - sender, fact) if grown == k else after
+        return mutate(after, 3 - sender) if grown == k else after
 
     return mutant
 
 
-def all_words_on_both_sides(after, receiver, fact):
-    return tuple(KnowledgeState(s.agent, {**s.langs, fact: ALL_WORDS})
-                 for s in after)
+def all_words_on_both_sides(after, receiver):
+    return ALL_WORDS, ALL_WORDS
 
 
 def cone_at(suffix):
-    def add_cone(after, receiver, fact):
-        state = after[receiver - 1]
-        grown = KnowledgeState(state.agent, {
-            **state.langs, fact: union(state.langs[fact], cone(suffix)),
-        })
+    def add_cone(after, receiver):
+        grown = union(after[receiver - 1], cone(suffix))
         return (grown, after[1]) if receiver == 1 else (after[0], grown)
     return add_cone
 
@@ -363,7 +438,7 @@ def test_ck_dynamics_sees_common_knowledge_made_by_a_step(monkeypatch, k):
     # kills a check that does not ask common knowledge again after a step
     scenario, trace, prefix, event, _ = next(
         itertools.islice(growing_tells(20, 42), k - 1, None))
-    monkeypatch.setattr(checks, "_tell", mutant_tell(k, all_words_on_both_sides))
+    monkeypatch.setattr(checks, "_tell_fact", mutant_tell(k, all_words_on_both_sides))
     report = check_ck_dynamics(20, 42)
     ck_found = [v for v in report.violations if "common knowledge" in v.witness]
     assert ck_found[0] == Violation(
@@ -380,11 +455,12 @@ def test_ck_dynamics_sees_a_cone_behind_a_suffix(monkeypatch, k, suffix):
     scenario, trace, prefix, event, after = next(
         itertools.islice(growing_tells(20, 42), k - 1, None))
     mutate = cone_at(suffix)
-    monkeypatch.setattr(checks, "_tell", mutant_tell(k, mutate))
+    monkeypatch.setattr(checks, "_tell_fact", mutant_tell(k, mutate))
     report = check_ck_dynamics(20, 42)
     assert not any("common knowledge" in v.witness for v in report.violations)
     fact = event.message.fact
-    held = mutate(after, event.receiver, fact)[event.receiver - 1].langs[fact]
+    pair = tuple(s.langs[fact] for s in after)
+    held = mutate(pair, event.receiver)[event.receiver - 1]
     words = (w for n in range(len(suffix) + 1)
              for w in itertools.product((1, 2), repeat=n))
     shortest = next(w for w in words if contains_cone(held, w))
@@ -394,3 +470,55 @@ def test_ck_dynamics_sees_a_cone_behind_a_suffix(monkeypatch, k, suffix):
         f"{fact} holds every extension of "
         f"'{format_sentence(Sentence(fact, shortest))}'",
     )
+
+
+def walked_prefixes(traces, seed):
+    """Run check_ck_dynamics(traces, seed) and read its walk at every prefix
+    it reaches, from the frame, where it takes the prefix's ck set over:
+    (the report, [(scenario, trace, prefix, per-fact pairs, ck set)])."""
+    lines, first = inspect.getsourcelines(check_ck_dynamics)
+    at = first + next(i for i, text in enumerate(lines)
+                      if text.strip() == "previous = ck_set")
+    walked = []
+
+    def reading(frame, event, arg):
+        if event == "line" and frame.f_lineno == at:
+            seen = frame.f_locals
+            walked.append((seen["scenario"].describe(), seen["trace_index"],
+                           seen["step_index"], dict(seen["pairs"]), seen["ck_set"]))
+        return reading
+
+    code = check_ck_dynamics.__code__
+    outer = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: reading if frame.f_code is code else None)
+    try:
+        report = check_ck_dynamics(traces, seed)
+    finally:
+        sys.settrace(outer)
+    return report, walked
+
+
+@pytest.mark.parametrize("mutate, ck_made", [
+    (None, False), (all_words_on_both_sides, True), (cone_at(()), False),
+], ids=["plain", "both-universal", "receiver-universal"])
+def test_the_per_fact_walk_loses_nothing_against_whole_states(monkeypatch, mutate,
+                                                              ck_made):
+    # at every prefix, the check's ck set is the bare facts that are common
+    # knowledge of the replayed states, and its pairs are their languages;
+    # the mutants of the first growing tell make one or both sides universal
+    k = mutate and 1
+    if mutate:
+        monkeypatch.setattr(checks, "_tell_fact", mutant_tell(k, mutate))
+    report, walked = walked_prefixes(20, 42)
+    replayed = list(replay(20, 42, k, mutate))
+    assert len(walked) == len(replayed)
+    ck_sets = set()
+    for (scenario, trace, prefix, pairs, ck_set), (
+            r_scenario, r_trace, r_prefix, _, states) in zip(walked, replayed):
+        assert (scenario, trace, prefix) == (r_scenario.describe(), r_trace, r_prefix)
+        assert ck_set == {f for f in r_scenario.facts
+                          if common_knowledge(*states, Sentence(f))}
+        assert pairs == pairs_of(*states, r_scenario.facts)
+        ck_sets.add(ck_set)
+    assert report.status == ("fail" if mutate else "pass")
+    assert (ck_sets != {frozenset()}) == ck_made
