@@ -8,7 +8,9 @@ language be interned as one object. Union, concatenation and star each
 join their operands' transition rows and run the one subset construction,
 and regexes compile through those operations. An acceptor that only gains
 a few states on top of a minimal one is not minimized again: a `Register`
-merges each new state into an equal one.
+merges each new state into an equal one. It looks among the states it
+added and, only when both successors are held, among the held rows by one
+`list.index`: no held state moves to an added one.
 
 Every acceptor is born in `renumber`, which takes each transition row from
 one table, so equal rows in any two acceptors are one tuple. The table is
@@ -55,8 +57,17 @@ class Dfa:
             states.append(state)
         return states
 
+    def end(self, word) -> int:
+        """The state a run over the word ends in; ValueError as for path."""
+        delta, state = self.delta, 0
+        for letter in word:
+            if type(letter) is not int or letter not in (1, 2):
+                raise ValueError(f"letter must be 1 or 2, got {letter!r}")
+            state = delta[state][letter - 1]
+        return state
+
     def accepts(self, word) -> bool:
-        return self.accepting[self.path(word)[-1]]
+        return self.accepting[self.end(word)]
 
 
 def product_dfa(a: Dfa, b: Dfa) -> Dfa:
@@ -221,16 +232,21 @@ class Register:
     holding two states with the same language.
 
     Because every state it holds is distinct, a new state equals an old one
-    exactly when both accept alike and move to the same states, so the
-    register of those signatures merges it in one lookup (the register of
-    Carrasco & Forcada's incremental minimisation). The states are kept
-    under their numbers; `to_dfa` renumbers what a start state reaches.
+    exactly when both accept alike and move to the same states (the register
+    of Carrasco & Forcada's incremental minimisation). A held state moves
+    only to held states, so a new state with an added successor is looked up
+    among the added states alone, in a dict of their signatures; one whose
+    successors are both held is also looked up among the held rows, of which
+    a minimal acceptor has at most two alike, one accepting and one not.
+    The states are kept under their numbers; `to_dfa` renumbers what a
+    start state reaches.
     """
 
     def __init__(self, dfa: Dfa):
+        self.held = len(dfa.delta)
         self.delta = list(dfa.delta)
         self.accepting = list(dfa.accepting)
-        self.signatures = dict(zip(zip(dfa.accepting, dfa.delta), range(len(dfa.delta))))
+        self.signatures: dict = {}  # (accepting, delta) -> state, added states only
 
     def _new(self, accepting: bool, delta: tuple[int, int]) -> int:
         state = self.signatures[accepting, delta] = len(self.delta)
@@ -241,6 +257,14 @@ class Register:
     def add(self, accepting: bool, delta: tuple[int, int]) -> int:
         """The state that accepts as given and moves to the given states."""
         state = self.signatures.get((accepting, delta))
+        held = self.held
+        if state is None and delta[0] < held and delta[1] < held:
+            try:
+                state = self.delta.index(delta, 0, held)
+                if self.accepting[state] != accepting:
+                    state = self.delta.index(delta, state + 1, held)
+            except ValueError:  # no held state accepts so and has this row
+                state = None
         return self._new(accepting, delta) if state is None else state
 
     def add_dead(self) -> int:
@@ -259,10 +283,16 @@ class Register:
         period of exits, and one of them equals a held state only if c_0
         does, which a walk of one period from each candidate decides.
         """
+        on, off = letter - 1, 2 - letter
+        if len(exits) == 1:  # the common case: the walk below for one state
+            exit, accepting = exits[0], self.accepting
+            for state, row in enumerate(self.delta):
+                if row[off] == exit and row[on] == state and accepting[state]:
+                    return [state]
+            return [self._new(True, row_for(letter, len(self.delta), exit))]
         p = len(exits)
         period = next(d for d in range(1, p + 1)
                       if p % d == 0 and exits[d:] + exits[:d] == exits)
-        on, off = letter - 1, 2 - letter
         for first in range(len(self.delta)):
             state, cycle = first, []
             for exit in exits[:period]:

@@ -84,7 +84,7 @@ def prefixed(word: Word, lang: Lang) -> Lang:
     """word . lang: a path that reads the word into lang's start state, every
     letter off the path going to the empty language. Only the path states
     are new, so each is merged through the register, last letter first."""
-    lang.dfa.path(word)  # checks the letters
+    lang.dfa.end(word)  # checks the letters
     if not word:
         return lang
     register = Register(lang.dfa)
@@ -128,9 +128,12 @@ def union_tail(lang: Lang, word: Word, mark: int, optional: bool) -> Lang:
     optional), where own = 3 - mark is the receiver's mark; lang itself
     when it already holds all of word.T."""
     # checked before the cache, whose keys do not tell True or 1.0 from 1
+    # and cannot hold a list
     if type(mark) is not int or mark not in (1, 2):
         raise ValueError(f"mark must be 1 or 2, got {mark!r}")
-    lang.dfa.path(word)  # checks the letters
+    if not isinstance(word, tuple):
+        raise ValueError(f"word must be a tuple, got {word!r}")
+    lang.dfa.end(word)  # checks the letters
     return _union_tail(lang, word, mark, optional)
 
 
@@ -149,7 +152,9 @@ def _union_tail(lang: Lang, word: Word, mark: int, optional: bool) -> Lang:
     """
     own = 3 - mark
     delta, accepting = lang.dfa.delta, lang.dfa.accepting
-    path = lang.dfa.path(word)
+    path = [0]
+    for letter in word:  # unchecked: union_tail has checked the letters
+        path.append(delta[path[-1]][letter - 1])
     q = path.pop()
     if (_own_loop_accepts(lang, delta[q][mark - 1], own)
             and (not optional or _own_loop_accepts(lang, q, own))):
@@ -207,7 +212,7 @@ def subset(a: Lang, b: Lang) -> bool:
 def contains_cone(lang: Lang, word: Word) -> bool:
     """Is every extension of the word in lang? In a minimal complete acceptor:
     does the word lead to the universal state (accepting, looping on 1 and 2)?"""
-    state = lang.dfa.path(word)[-1]
+    state = lang.dfa.end(word)
     return lang.dfa.accepting[state] and lang.dfa.delta[state] == (state, state)
 
 

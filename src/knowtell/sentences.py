@@ -17,6 +17,8 @@ AGENTS = (1, 2)
 Word = tuple[int, ...]
 
 _FACT_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
+_SENTENCE_RE = re.compile(r"([a-z][a-z0-9_]*)((?:\.[12])*)\Z")  # fact, marks
+_MARKS = bytes.maketrans(b"12", b"\x01\x02")  # mark bytes to their ints
 _FACT_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789_")
 
 
@@ -61,6 +63,8 @@ class Sentence:
 
     def __post_init__(self):
         check_fact(self.fact)
+        if not isinstance(self.suffix, tuple):
+            raise SentenceError(f"suffix must be a tuple of marks, got {self.suffix!r}")
         for agent in self.suffix:
             check_agent(agent)
 
@@ -75,11 +79,20 @@ class Sentence:
 def parse_sentence(text: str) -> Sentence:
     """Parse ``fact(.agent)*`` text such as ``a.2.1``.
 
-    Errors name the offending position: malformed fact names, empty
-    segments, agent marks outside {1, 2}, and trailing dots all reject.
+    Well-formed text parses in one anchored match. Other text is walked
+    segment by segment, and errors name the offending position: malformed
+    fact names, empty segments, agent marks outside {1, 2}, and trailing
+    dots all reject.
     """
     if not isinstance(text, str):
         raise SentenceError(f"expected sentence text, got {type(text).__name__}")
+    match = _SENTENCE_RE.match(text)
+    if match:  # it proves the fact and each mark, so __post_init__ is skipped
+        fact, marks = match.groups()
+        sentence = object.__new__(Sentence)
+        marks = tuple(marks.encode().translate(_MARKS, b"."))
+        sentence.__dict__.update(fact=fact, suffix=marks)
+        return sentence
     if not text:
         raise SentenceError("empty sentence", 0)
     segments = text.split(".")

@@ -170,7 +170,7 @@ def test_long_words_build_in_linear_time():
     assert prefixed((1,) * 5000, EPSILON).contains((1,) * 5000)
 
 
-def test_union_tail_examples():
+def test_union_tail_examples(monkeypatch):
     assert union_tail(EMPTY, (), 1, False) is from_regex("12*")
     assert union_tail(EMPTY, (2, 1), 1, True) is from_regex("21(1|e)2*")
     grown = union_tail(from_regex("1*"), (2,), 2, False)
@@ -179,14 +179,30 @@ def test_union_tail_examples():
     assert union_tail(grown, (2,), 2, False) is grown
     assert union_tail(ALL_WORDS, (1, 2), 2, True) is ALL_WORDS
     # the own-mark run from the mark's successor loops through two states,
-    # which the tail makes equal
-    assert union_tail(from_regex("1(22)*"), (), 1, False) is from_regex("12*")
-    assert union_tail(from_regex("1(22)*1"), (), 1, False) is from_regex("12*|1(22)*1")
+    # which the tail makes equal; a cycle longer than one state takes the
+    # general route of add_cycle
+    cycle_lengths = []
+    add_cycle = automata.Register.add_cycle
+
+    def recording_add_cycle(register, letter, exits):
+        cycle_lengths.append(len(exits))
+        return add_cycle(register, letter, exits)
+
+    clear_language_caches()
+    with monkeypatch.context() as patch:
+        patch.setattr(automata.Register, "add_cycle", recording_add_cycle)
+        assert union_tail(from_regex("1(22)*"), (), 1, False) is from_regex("12*")
+        assert (union_tail(from_regex("1(22)*1"), (), 1, False)
+                is from_regex("12*|1(22)*1"))
+    assert 2 in cycle_lengths
     with pytest.raises(ValueError):
         union_tail(EMPTY, (3,), 1, False)
     for bad in (True, 3):
         with pytest.raises(ValueError, match=rf"^mark must be 1 or 2, got {bad!r}$"):
             union_tail(EMPTY, (), bad, False)
+    # a list would pass the letter check and then fail in the cache's hash
+    with pytest.raises(ValueError, match=r"^word must be a tuple, got \[1\]$"):
+        union_tail(EMPTY, [1], 1, False)
 
 
 def test_to_dot_shape():
@@ -377,6 +393,46 @@ def row_tables(draw):
 @given(row_tables())
 def test_renumber_matches_dict_numbering(table):
     assert renumber(*table) == renumber_by_dict(*table)
+
+
+def register_by_scan(register, accepting, row):
+    # reference: the first held or added state with this signature, or None
+    for state, held_row in enumerate(register.delta):
+        if register.accepting[state] == accepting and held_row == row:
+            return state
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(minimal_dfa_langs(),
+       st.lists(st.tuples(st.booleans(), st.integers(0, 99), st.integers(0, 99)),
+                max_size=30))
+def test_register_add_finds_what_a_scan_of_every_state_finds(lang, signatures):
+    register = automata.Register(lang.dfa)
+    for accepting, one, two in signatures:
+        # successors among the states held so far, held or added
+        n = len(register.delta)
+        row = (one % n, two % n)
+        expected = register_by_scan(register, accepting, row)
+        state = register.add(accepting, row)
+        assert state == (n if expected is None else expected)
+        assert (register.accepting[state], register.delta[state]) == (accepting, row)
+
+
+@settings(max_examples=200, deadline=None)
+@given(minimal_dfa_langs(), st.sampled_from((1, 2)), st.integers(0, 99),
+       st.lists(st.tuples(st.booleans(), st.integers(0, 99), st.integers(0, 99)),
+                max_size=4))
+def test_one_state_add_cycle_matches_the_general_route(lang, letter, exit, added):
+    # two states with the same exit have period 1 but take the general route
+    one, two = automata.Register(lang.dfa), automata.Register(lang.dfa)
+    for accepting, s, t in added:
+        n = len(one.delta)
+        assert one.add(accepting, (s % n, t % n)) == two.add(accepting, (s % n, t % n))
+    exit %= len(one.delta)
+    [state] = one.add_cycle(letter, [exit])
+    assert two.add_cycle(letter, [exit, exit]) == [state, state]
+    assert (one.delta, one.accepting) == (two.delta, two.accepting)
 
 
 def union_with_gain(lang, word, sender, understanding):

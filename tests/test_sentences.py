@@ -1,10 +1,12 @@
 import random
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from knowtell import sentences
 from knowtell.sentences import (
     Sentence,
     SentenceError,
@@ -87,11 +89,41 @@ def test_parse_agrees_with_grammar_oracle(text):
             parse_sentence(text)
 
 
-@given(
-    st.from_regex(r"[a-z][a-z0-9_]{0,5}", fullmatch=True),
-    st.lists(st.sampled_from((1, 2)), max_size=6).map(tuple),
-    st.sampled_from((1, 2)),
-)
+facts_st = st.from_regex(r"[a-z][a-z0-9_]{0,5}", fullmatch=True)
+suffixes_st = st.lists(st.sampled_from((1, 2)), max_size=8).map(tuple)
+
+
+@given(facts_st, suffixes_st)
+def test_parse_builds_what_the_checked_constructor_builds(fact, suffix):
+    parsed = parse_sentence(".".join([fact, *map(str, suffix)]))
+    built = Sentence(fact, suffix)
+    assert parsed == built
+    assert hash(parsed) == hash(built) and repr(parsed) == repr(built)
+    assert type(parsed.fact) is str and type(parsed.suffix) is tuple
+    assert all(type(mark) is int for mark in parsed.suffix)
+
+
+def parse_outcome(text):
+    try:
+        sentence = parse_sentence(text)
+    except SentenceError as err:
+        return str(err), err.position
+    return sentence, hash(sentence), repr(sentence)
+
+
+@given(st.one_of(st.text(max_size=12), st.text("ab_1.2 ", max_size=12),
+                 st.builds("".join, st.lists(st.sampled_from(("a", ".1", ".2")),
+                                             max_size=6))))
+def test_parse_answers_as_the_segment_walk_does(text):
+    # the same parser with its one-match route switched off is the reference
+    # for every text, so ill-formed texts keep their messages and positions
+    never = re.compile(r"(?!)")
+    with mock.patch.object(sentences, "_SENTENCE_RE", never):
+        expected = parse_outcome(text)
+    assert parse_outcome(text) == expected
+
+
+@given(facts_st, suffixes_st, st.sampled_from((1, 2)))
 def test_append_knows_extends_depth_by_one(fact, suffix, agent):
     sentence = Sentence(fact, suffix)
     extended = append_knows(sentence, agent)
@@ -117,6 +149,10 @@ def test_bad_values_rejected_at_construction():
     for not_an_int in (True, 1.0, "1"):
         with pytest.raises(SentenceError):
             Sentence("a", (not_an_int,))
+    # a list suffix cannot be hashed, so a tell of it would fail in a cache
+    for not_a_tuple in ([1], [], "1"):
+        with pytest.raises(SentenceError, match="^suffix must be a tuple of marks, got "):
+            Sentence("a", not_a_tuple)
     with pytest.raises(SentenceError):
         append_knows(Sentence("a"), 0)
 
