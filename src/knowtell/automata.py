@@ -9,8 +9,8 @@ join their operands' transition rows and run the one subset construction,
 and regexes compile through those operations. An acceptor that only gains
 a few states on top of a minimal one is not minimized again: a `Register`
 merges each new state into an equal one. It looks among the states it
-added and, only when both successors are held, among the held rows by one
-`list.index`: no held state moves to an added one.
+added and, only when both successors are held, among the held rows: no
+held state moves to an added one.
 
 Every acceptor is born in `renumber`, which takes each transition row from
 one table, so equal rows in any two acceptors are one tuple. The table is
@@ -221,6 +221,14 @@ def renumber(delta, accepting, start: int) -> Dfa:
     return Dfa(tuple(rows), tuple([accepting[s] for s in order]))
 
 
+# Held lookups a register makes by list.index before it hashes the held rows:
+# a scan of a trace-session acceptor's ~94 rows costs 1.4-3.4 us and hashing
+# them 19 us (CPython 3.11 on a shared 2-core VM), and 11 of the 2,656
+# registers of two such rounds made more than eight held lookups (most made
+# two to five).
+HELD_SCANS = 8
+
+
 def row_for(letter: int, target: int, other: int) -> tuple[int, int]:
     """The transition row that reads letter to target and the other letter
     to other."""
@@ -237,9 +245,9 @@ class Register:
     only to held states, so a new state with an added successor is looked up
     among the added states alone, in a dict of their signatures; one whose
     successors are both held is also looked up among the held rows, of which
-    a minimal acceptor has at most two alike, one accepting and one not.
-    The states are kept under their numbers; `to_dfa` renumbers what a
-    start state reaches.
+    a minimal acceptor has at most two alike, one accepting and one not
+    (`_held_state`). The states are kept under their numbers; `to_dfa`
+    renumbers what a start state reaches.
     """
 
     def __init__(self, dfa: Dfa):
@@ -247,6 +255,8 @@ class Register:
         self.delta = list(dfa.delta)
         self.accepting = list(dfa.accepting)
         self.signatures: dict = {}  # (accepting, delta) -> state, added states only
+        self.held_scans = 0  # held lookups made by scanning the rows
+        self.held_signatures: dict | None = None  # the same for held states, once needed
 
     def _new(self, accepting: bool, delta: tuple[int, int]) -> int:
         state = self.signatures[accepting, delta] = len(self.delta)
@@ -259,13 +269,28 @@ class Register:
         state = self.signatures.get((accepting, delta))
         held = self.held
         if state is None and delta[0] < held and delta[1] < held:
+            state = self._held_state(accepting, delta)
+        return self._new(accepting, delta) if state is None else state
+
+    def _held_state(self, accepting: bool, delta: tuple[int, int]) -> int | None:
+        """The held state with this signature, if any. The first HELD_SCANS
+        lookups scan the held rows, which costs less than hashing them all;
+        later ones use a dict of the held signatures, built once, so the
+        lookups of one register stay linear in its states."""
+        held = self.held
+        if self.held_scans < HELD_SCANS:
+            self.held_scans += 1
             try:
                 state = self.delta.index(delta, 0, held)
                 if self.accepting[state] != accepting:
                     state = self.delta.index(delta, state + 1, held)
+                return state
             except ValueError:  # no held state accepts so and has this row
-                state = None
-        return self._new(accepting, delta) if state is None else state
+                return None
+        if self.held_signatures is None:
+            self.held_signatures = dict(zip(zip(self.accepting[:held], self.delta[:held]),
+                                            range(held)))
+        return self.held_signatures.get((accepting, delta))
 
     def add_dead(self) -> int:
         """The state of the empty language: rejecting, looping on both letters."""
@@ -283,23 +308,23 @@ class Register:
         period of exits, and one of them equals a held state only if c_0
         does, which a walk of one period from each candidate decides.
         """
+        p = period = len(exits)
+        for d in range(1, p):
+            if p % d == 0 and exits[d:] + exits[:d] == exits:
+                period = d
+                break
         on, off = letter - 1, 2 - letter
-        if len(exits) == 1:  # the common case: the walk below for one state
-            exit, accepting = exits[0], self.accepting
-            for state, row in enumerate(self.delta):
-                if row[off] == exit and row[on] == state and accepting[state]:
-                    return [state]
-            return [self._new(True, row_for(letter, len(self.delta), exit))]
-        p = len(exits)
-        period = next(d for d in range(1, p + 1)
-                      if p % d == 0 and exits[d:] + exits[:d] == exits)
-        for first in range(len(self.delta)):
-            state, cycle = first, []
-            for exit in exits[:period]:
-                if not self.accepting[state] or self.delta[state][off] != exit:
+        delta, accepting = self.delta, self.accepting
+        first_exit, rest = exits[0], exits[1:period]
+        for first, row in enumerate(delta):
+            if row[off] != first_exit or not accepting[first]:
+                continue
+            state, cycle = row[on], [first]
+            for exit in rest:
+                if not accepting[state] or delta[state][off] != exit:
                     break
                 cycle.append(state)
-                state = self.delta[state][on]
+                state = delta[state][on]
             else:
                 if state == first:
                     return [cycle[k % period] for k in range(p)]

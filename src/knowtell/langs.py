@@ -152,9 +152,7 @@ def _union_tail(lang: Lang, word: Word, mark: int, optional: bool) -> Lang:
     """
     own = 3 - mark
     delta, accepting = lang.dfa.delta, lang.dfa.accepting
-    path = [0]
-    for letter in word:  # unchecked: union_tail has checked the letters
-        path.append(delta[path[-1]][letter - 1])
+    path = lang.dfa.path(word)
     q = path.pop()
     if (_own_loop_accepts(lang, delta[q][mark - 1], own)
             and (not optional or _own_loop_accepts(lang, q, own))):

@@ -80,19 +80,16 @@ def parse_sentence(text: str) -> Sentence:
     """Parse ``fact(.agent)*`` text such as ``a.2.1``.
 
     Well-formed text parses in one anchored match. Other text is walked
-    segment by segment, and errors name the offending position: malformed
-    fact names, empty segments, agent marks outside {1, 2}, and trailing
-    dots all reject.
+    segment by segment to the first error, which names the offending
+    position: malformed fact names, empty segments, agent marks outside
+    {1, 2}, and trailing dots all reject.
     """
     if not isinstance(text, str):
         raise SentenceError(f"expected sentence text, got {type(text).__name__}")
     match = _SENTENCE_RE.match(text)
-    if match:  # it proves the fact and each mark, so __post_init__ is skipped
+    if match:
         fact, marks = match.groups()
-        sentence = object.__new__(Sentence)
-        marks = tuple(marks.encode().translate(_MARKS, b"."))
-        sentence.__dict__.update(fact=fact, suffix=marks)
-        return sentence
+        return Sentence(fact, tuple(marks.encode().translate(_MARKS, b".")))
     if not text:
         raise SentenceError("empty sentence", 0)
     segments = text.split(".")
@@ -104,7 +101,6 @@ def parse_sentence(text: str) -> Sentence:
                 pos = i
                 break
         raise SentenceError(f"bad fact name {fact!r}", pos)
-    suffix = []
     pos = len(fact)
     for segment in segments[1:]:
         pos += 1  # the separating dot
@@ -112,9 +108,8 @@ def parse_sentence(text: str) -> Sentence:
             raise SentenceError("empty segment after '.'", pos)
         if segment not in ("1", "2"):
             raise SentenceError(f"agent mark must be '1' or '2', got {segment!r}", pos)
-        suffix.append(int(segment))
         pos += len(segment)
-    return Sentence(fact, tuple(suffix))
+    raise AssertionError(f"{text!r} fails the sentence pattern, yet no segment is wrong")
 
 
 def format_sentence(s: Sentence) -> str:

@@ -170,7 +170,14 @@ def test_long_words_build_in_linear_time():
     assert prefixed((1,) * 5000, EPSILON).contains((1,) * 5000)
 
 
-def test_union_tail_examples(monkeypatch):
+def test_a_long_own_run_into_a_held_cycle_builds_in_linear_time():
+    # every state on the run of 2s merges into the held state of 2*: each
+    # is a lookup among the held rows, which must not scan them every time
+    lang = prefixed((1,) + (2,) * 20000, from_regex("2*"))
+    assert union_tail(lang, (), 1, False) is from_regex("12*")
+
+
+def test_union_tail_examples():
     assert union_tail(EMPTY, (), 1, False) is from_regex("12*")
     assert union_tail(EMPTY, (2, 1), 1, True) is from_regex("21(1|e)2*")
     grown = union_tail(from_regex("1*"), (2,), 2, False)
@@ -179,22 +186,9 @@ def test_union_tail_examples(monkeypatch):
     assert union_tail(grown, (2,), 2, False) is grown
     assert union_tail(ALL_WORDS, (1, 2), 2, True) is ALL_WORDS
     # the own-mark run from the mark's successor loops through two states,
-    # which the tail makes equal; a cycle longer than one state takes the
-    # general route of add_cycle
-    cycle_lengths = []
-    add_cycle = automata.Register.add_cycle
-
-    def recording_add_cycle(register, letter, exits):
-        cycle_lengths.append(len(exits))
-        return add_cycle(register, letter, exits)
-
-    clear_language_caches()
-    with monkeypatch.context() as patch:
-        patch.setattr(automata.Register, "add_cycle", recording_add_cycle)
-        assert union_tail(from_regex("1(22)*"), (), 1, False) is from_regex("12*")
-        assert (union_tail(from_regex("1(22)*1"), (), 1, False)
-                is from_regex("12*|1(22)*1"))
-    assert 2 in cycle_lengths
+    # which the tail makes equal: a cycle of two exits with period 1
+    assert union_tail(from_regex("1(22)*"), (), 1, False) is from_regex("12*")
+    assert union_tail(from_regex("1(22)*1"), (), 1, False) is from_regex("12*|1(22)*1")
     with pytest.raises(ValueError):
         union_tail(EMPTY, (3,), 1, False)
     for bad in (True, 3):
@@ -405,14 +399,17 @@ def register_by_scan(register, accepting, row):
 
 @settings(max_examples=200, deadline=None)
 @given(minimal_dfa_langs(),
-       st.lists(st.tuples(st.booleans(), st.integers(0, 99), st.integers(0, 99)),
+       st.lists(st.tuples(st.booleans(), st.integers(0, 99), st.integers(0, 99),
+                          st.booleans()),
                 max_size=30))
 def test_register_add_finds_what_a_scan_of_every_state_finds(lang, signatures):
+    # enough lookups of held rows, with either acceptance, to pass HELD_SCANS
     register = automata.Register(lang.dfa)
-    for accepting, one, two in signatures:
+    held = len(register.delta)
+    for accepting, one, two, held_row in signatures:
         # successors among the states held so far, held or added
         n = len(register.delta)
-        row = (one % n, two % n)
+        row = register.delta[one % held] if held_row else (one % n, two % n)
         expected = register_by_scan(register, accepting, row)
         state = register.add(accepting, row)
         assert state == (n if expected is None else expected)
@@ -423,8 +420,8 @@ def test_register_add_finds_what_a_scan_of_every_state_finds(lang, signatures):
 @given(minimal_dfa_langs(), st.sampled_from((1, 2)), st.integers(0, 99),
        st.lists(st.tuples(st.booleans(), st.integers(0, 99), st.integers(0, 99)),
                 max_size=4))
-def test_one_state_add_cycle_matches_the_general_route(lang, letter, exit, added):
-    # two states with the same exit have period 1 but take the general route
+def test_a_cycle_of_one_repeated_exit_is_one_state(lang, letter, exit, added):
+    # a cycle of two states with the same exit has period 1: one state
     one, two = automata.Register(lang.dfa), automata.Register(lang.dfa)
     for accepting, s, t in added:
         n = len(one.delta)

@@ -103,24 +103,29 @@ def test_parse_builds_what_the_checked_constructor_builds(fact, suffix):
     assert all(type(mark) is int for mark in parsed.suffix)
 
 
-def parse_outcome(text):
-    try:
-        sentence = parse_sentence(text)
-    except SentenceError as err:
-        return str(err), err.position
-    return sentence, hash(sentence), repr(sentence)
+def walk_outcome(text):
+    # the parser with its one-match route switched off walks every text,
+    # and the walk never returns a sentence
+    with mock.patch.object(sentences, "_SENTENCE_RE", re.compile(r"(?!)")):
+        with pytest.raises((SentenceError, AssertionError)) as err:
+            parse_sentence(text)
+    if err.type is AssertionError:
+        return None  # the walk found no error
+    return str(err.value), err.value.position
 
 
 @given(st.one_of(st.text(max_size=12), st.text("ab_1.2 ", max_size=12),
                  st.builds("".join, st.lists(st.sampled_from(("a", ".1", ".2")),
                                              max_size=6))))
-def test_parse_answers_as_the_segment_walk_does(text):
-    # the same parser with its one-match route switched off is the reference
-    # for every text, so ill-formed texts keep their messages and positions
-    never = re.compile(r"(?!)")
-    with mock.patch.object(sentences, "_SENTENCE_RE", never):
-        expected = parse_outcome(text)
-    assert parse_outcome(text) == expected
+def test_the_segment_walk_finds_an_error_exactly_where_the_pattern_fails(text):
+    # so every ill-formed text keeps its message and position, and no
+    # well-formed text reaches the walk
+    try:
+        parse_sentence(text)
+    except SentenceError as err:
+        assert walk_outcome(text) == (str(err), err.position)
+    else:
+        assert walk_outcome(text) is None
 
 
 @given(facts_st, suffixes_st, st.sampled_from((1, 2)))
