@@ -26,7 +26,6 @@ from .sentences import (
     SentenceError,
     append_knows,
     format_sentence,
-    other_agent,
     parse_sentence,
 )
 from .states import (
@@ -73,7 +72,6 @@ __all__ = [
     "known_facts",
     "knows",
     "language_equal",
-    "other_agent",
     "parse_regex",
     "parse_sentence",
     "project_success",

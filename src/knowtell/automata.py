@@ -45,22 +45,12 @@ class Dfa:
     def __hash__(self) -> int:
         return self._hash
 
-    def path(self, word) -> list[int]:
-        """The states a run over the word passes through, the start state
-        first; ValueError on a letter other than 1 or 2."""
-        delta, state, states = self.delta, 0, [0]
-        for letter in word:
-            # the type test keeps out True and 1.0, which compare equal to 1
-            if type(letter) is not int or letter not in (1, 2):
-                raise ValueError(f"letter must be 1 or 2, got {letter!r}")
-            state = delta[state][letter - 1]
-            states.append(state)
-        return states
-
     def end(self, word) -> int:
-        """The state a run over the word ends in; ValueError as for path."""
+        """The state a run over the word ends in; ValueError on a letter
+        other than 1 or 2."""
         delta, state = self.delta, 0
         for letter in word:
+            # the type test keeps out True and 1.0, which compare equal to 1
             if type(letter) is not int or letter not in (1, 2):
                 raise ValueError(f"letter must be 1 or 2, got {letter!r}")
             state = delta[state][letter - 1]
@@ -336,23 +326,3 @@ class Register:
     def to_dfa(self, start: int) -> Dfa:
         return renumber(self.delta, self.accepting, start)
 
-
-def dfa_to_dot(dfa: Dfa, name: str = "lang") -> str:
-    """GraphViz rendering: double circles accept, edges carry the letters."""
-    lines = [
-        f"digraph {name} {{",
-        "  rankdir=LR;",
-        '  __start [shape=point, label=""];',
-        "  __start -> s0;",
-    ]
-    for state, acc in enumerate(dfa.accepting):
-        shape = "doublecircle" if acc else "circle"
-        lines.append(f"  s{state} [shape={shape}, label=\"{state}\"];")
-    for state, row in enumerate(dfa.delta):
-        if row[0] == row[1]:
-            lines.append(f"  s{state} -> s{row[0]} [label=\"1,2\"];")
-        else:
-            lines.append(f"  s{state} -> s{row[0]} [label=\"1\"];")
-            lines.append(f"  s{state} -> s{row[1]} [label=\"2\"];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 from .dynamics import _tell_fact, saturate
-from .langs import Lang, cone_word, count_words, distinguishing_word, word_at
+from .langs import (Lang, _require_count, cone_word, count_words, distinguishing_word,
+                    word_at)
 from .oracle import compare_symbolic
 from .sentences import Sentence, Word, format_sentence
 from .states import (
@@ -74,15 +75,6 @@ def subsets_of(facts: Sequence[str]) -> list[tuple[str, ...]]:
     ]
 
 
-def _require_count(name: str, value: object, low: int, high: int | None = None):
-    # the type test keeps out True and 2.0, which compare equal to ints
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an int, got {value!r}")
-    if value < low or (high is not None and value > high):
-        wanted = f">= {low}" if high is None else f"in {low}..{high}"
-        raise ValueError(f"{name} must be {wanted}, got {value}")
-
-
 def scenario_grid(max_facts: int, model: ModelKind) -> Iterator[Scenario]:
     """Every subset pair over fact sets of size 1..max_facts (checked at the call)."""
     _require_count("max_facts", max_facts, 1, len(FACT_POOL))
@@ -91,9 +83,8 @@ def scenario_grid(max_facts: int, model: ModelKind) -> Iterator[Scenario]:
             for side_a in subsets_of(facts) for side_b in subsets_of(facts))
 
 
-def _inequality_witness(state_a: KnowledgeState, state_b: KnowledgeState,
-                        facts: Sequence[str]) -> str:
-    for fact in facts:
+def _inequality_witness(state_a: KnowledgeState, state_b: KnowledgeState) -> str:
+    for fact in state_a.langs:
         if state_a.langs[fact] != state_b.langs[fact]:
             word = distinguishing_word(state_a.langs[fact], state_b.langs[fact])
             sentence = format_sentence(Sentence(fact, word))
@@ -121,7 +112,7 @@ def check_language_equivalence_props(max_facts: int = 3) -> CheckReport:
         elif expected and not equal:
             violations.append(Violation(
                 scenario.describe(),
-                _inequality_witness(result.state_a, result.state_b, scenario.facts),
+                _inequality_witness(result.state_a, result.state_b),
             ))
     return _finish("language-equivalence", count, violations, started)
 
@@ -271,7 +262,7 @@ def check_success_theorems(max_facts: int = 3, *,
         if not language_equal(result.state_a, result.state_b):
             violations.append(Violation(
                 scenario.describe(),
-                _inequality_witness(result.state_a, result.state_b, facts),
+                _inequality_witness(result.state_a, result.state_b),
             ))
         elif not project_success(result.state_a, result.state_b, scenario):
             violations.append(Violation(scenario.describe(), "success denied"))
@@ -285,8 +276,7 @@ def check_success_theorems(max_facts: int = 3, *,
             if not language_equal(result.state_a, result.state_b):
                 violations.append(Violation(
                     scenario.describe(),
-                    _inequality_witness(result.state_a, result.state_b,
-                                        scenario.facts),
+                    _inequality_witness(result.state_a, result.state_b),
                 ))
                 continue
             missing_ck = [

@@ -159,20 +159,13 @@ def _solve_fact(in_a: bool, in_b: bool, understanding: bool):
 def saturate(scenario: Scenario) -> SaturationResult:
     """The least fixpoint of exchanging every knowable sentence both ways."""
     understanding = scenario.model is ModelKind.UNDERSTANDING
-    langs_a: dict[str, Lang] = {}
-    langs_b: dict[str, Lang] = {}
-    texts_a: dict[str, str] = {}
-    texts_b: dict[str, str] = {}
-    for fact in scenario.facts:
-        lang_a, lang_b, text_a, text_b = _solve_fact(
-            fact in scenario.side_a, fact in scenario.side_b, understanding
-        )
-        langs_a[fact] = lang_a
-        langs_b[fact] = lang_b
-        texts_a[fact] = text_a
-        texts_b[fact] = text_b
+    # fact -> (side 1's language, side 2's, side 1's text, side 2's)
+    solved = {fact: _solve_fact(fact in scenario.side_a, fact in scenario.side_b,
+                                understanding)
+              for fact in scenario.facts}
     return SaturationResult(
-        state_a=KnowledgeState(1, langs_a),
-        state_b=KnowledgeState(2, langs_b),
-        regexes={1: texts_a, 2: texts_b},
+        state_a=KnowledgeState(1, {fact: s[0] for fact, s in solved.items()}),
+        state_b=KnowledgeState(2, {fact: s[1] for fact, s in solved.items()}),
+        regexes={1: {fact: s[2] for fact, s in solved.items()},
+                 2: {fact: s[3] for fact, s in solved.items()}},
     )

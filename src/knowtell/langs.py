@@ -17,8 +17,8 @@ from collections import deque
 from functools import lru_cache
 
 from . import regexes
-from .automata import (Dfa, Register, compile_regex, concat_dfa, dfa_to_dot,
-                       product_dfa, row_for, star_dfa)
+from .automata import (Dfa, Register, compile_regex, concat_dfa, product_dfa,
+                       row_for, star_dfa)
 from .regexes import Regex, parse_regex
 from .sentences import Word
 
@@ -152,8 +152,10 @@ def _union_tail(lang: Lang, word: Word, mark: int, optional: bool) -> Lang:
     """
     own = 3 - mark
     delta, accepting = lang.dfa.delta, lang.dfa.accepting
-    path = lang.dfa.path(word)
-    q = path.pop()
+    path, q = [], 0  # the states before each letter of word; then q
+    for letter in word:
+        path.append(q)
+        q = delta[q][letter - 1]
     if (_own_loop_accepts(lang, delta[q][mark - 1], own)
             and (not optional or _own_loop_accepts(lang, q, own))):
         return lang
@@ -238,22 +240,31 @@ def cone_word(lang: Lang) -> Word | None:
 MAX_ORACLE_DEPTH = 16
 
 
-@lru_cache(maxsize=CACHE_SIZE)
+def _require_count(name: str, value: object, low: int, high: int | None = None):
+    # the type test keeps out True and 2.0, which compare equal to ints
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < low or (high is not None and value > high):
+        wanted = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ValueError(f"{name} must be {wanted}, got {value}")
+
+
+# The counting caches are typed, so that 2.0 and True miss the entries of 2
+# and 1 and reach the count rule inside.
+@lru_cache(maxsize=CACHE_SIZE, typed=True)
 def enumerate_words(lang: Lang, max_len: int) -> frozenset[Word]:
     """Exactly the members with length <= max_len, read off the count table;
-    ValueError outside 0..MAX_ORACLE_DEPTH."""
-    if max_len > MAX_ORACLE_DEPTH:
-        raise ValueError(f"max_len must be <= {MAX_ORACLE_DEPTH}, got {max_len}")
+    ValueError unless max_len is an int in 0..MAX_ORACLE_DEPTH."""
+    _require_count("max_len", max_len, 0, MAX_ORACLE_DEPTH)
     return frozenset(word_at(lang, max_len, i)
                      for i in range(count_words(lang, max_len)))
 
 
-@lru_cache(maxsize=CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE, typed=True)
 def _path_counts(lang: Lang, max_len: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     # counts[r][q]: accepted words of length exactly r read from state q;
     # and the number of members with length <= max_len
-    if max_len < 0:
-        raise ValueError("max_len must be >= 0")
+    _require_count("max_len", max_len, 0)
     row = tuple(map(int, lang.dfa.accepting))
     counts = [row]
     for _ in range(max_len):
@@ -263,14 +274,18 @@ def _path_counts(lang: Lang, max_len: int) -> tuple[tuple[tuple[int, ...], ...],
 
 
 def count_words(lang: Lang, max_len: int) -> int:
-    """How many members have length <= max_len, without listing them."""
+    """How many members have length <= max_len, without listing them;
+    ValueError unless max_len is an int >= 0."""
     return _path_counts(lang, max_len)[1]
 
 
 def word_at(lang: Lang, max_len: int, index: int) -> Word:
     """The index-th member of length <= max_len in (length, word) order,
-    letter 1 before 2; IndexError outside 0..count_words - 1."""
+    letter 1 before 2; max_len as for count_words, ValueError when index
+    is not an int and IndexError outside 0..count_words - 1."""
     counts, total = _path_counts(lang, max_len)
+    if type(index) is not int:  # True would answer for index 1
+        raise ValueError(f"index must be an int, got {index!r}")
     if not 0 <= index < total:
         raise IndexError("word index out of range")
     length = 0
@@ -322,8 +337,25 @@ def distinguishing_word(a: Lang, b: Lang) -> Word | None:
 
 
 def to_dot(lang: Lang, name: str = "lang") -> str:
-    """Canonical acceptor in GraphViz DOT form."""
-    return dfa_to_dot(lang.dfa, name)
+    """Canonical acceptor in GraphViz DOT form: double circles accept,
+    edges carry the letters."""
+    lines = [
+        f"digraph {name} {{",
+        "  rankdir=LR;",
+        '  __start [shape=point, label=""];',
+        "  __start -> s0;",
+    ]
+    for state, acc in enumerate(lang.dfa.accepting):
+        shape = "doublecircle" if acc else "circle"
+        lines.append(f"  s{state} [shape={shape}, label=\"{state}\"];")
+    for state, row in enumerate(lang.dfa.delta):
+        if row[0] == row[1]:
+            lines.append(f"  s{state} -> s{row[0]} [label=\"1,2\"];")
+        else:
+            lines.append(f"  s{state} -> s{row[0]} [label=\"1\"];")
+            lines.append(f"  s{state} -> s{row[1]} [label=\"2\"];")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 EMPTY = from_ast(regexes.EMPTY)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dynamics import saturate
-from .langs import MAX_ORACLE_DEPTH, enumerate_words
+from .langs import MAX_ORACLE_DEPTH, _require_count, enumerate_words
 from .sentences import Sentence, Word, format_sentence
 from .states import ModelKind, Scenario
 
@@ -41,10 +41,7 @@ def bounded_closure(scenario: Scenario, bound: int
     bare f.w. The universe of bounded sentences is finite and the held sets
     only grow, so the worklist empties at the least fixpoint.
     """
-    # the type test keeps out True and 2.0, which compare equal to ints
-    if type(bound) is not int or not 0 <= bound <= MAX_ORACLE_DEPTH:
-        raise ValueError(
-            f"bound must be an int in 0..{MAX_ORACLE_DEPTH}, got {bound!r}")
+    _require_count("bound", bound, 0, MAX_ORACLE_DEPTH)
     understanding = scenario.model is ModelKind.UNDERSTANDING
     held: dict[int, set[tuple[str, Word]]] = {1: set(), 2: set()}
     todo = [(1, (f, ())) for f in scenario.side_a]

@@ -16,10 +16,9 @@ AGENTS = (1, 2)
 # A suffix word: the chain of agent marks, innermost first.
 Word = tuple[int, ...]
 
-_FACT_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
-_SENTENCE_RE = re.compile(r"([a-z][a-z0-9_]*)((?:\.[12])*)\Z")  # fact, marks
+_FACT_RE = re.compile(r"[a-z][a-z0-9_]*")
+_SENTENCE_RE = re.compile(rf"({_FACT_RE.pattern})((?:\.[12])*)")  # fact, marks
 _MARKS = bytes.maketrans(b"12", b"\x01\x02")  # mark bytes to their ints
-_FACT_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789_")
 
 
 class SentenceError(ValueError):
@@ -39,14 +38,8 @@ def check_agent(agent: int) -> int:
     return agent
 
 
-def other_agent(agent: int) -> int:
-    """The opposite agent: 1 <-> 2."""
-    check_agent(agent)
-    return 3 - agent
-
-
 def check_fact(name: str) -> str:
-    if not isinstance(name, str) or not _FACT_RE.match(name):
+    if not isinstance(name, str) or not _FACT_RE.fullmatch(name):
         raise SentenceError(
             f"bad fact name {name!r}: expected a lowercase letter followed by "
             "lowercase letters, digits or underscores"
@@ -86,7 +79,7 @@ def parse_sentence(text: str) -> Sentence:
     """
     if not isinstance(text, str):
         raise SentenceError(f"expected sentence text, got {type(text).__name__}")
-    match = _SENTENCE_RE.match(text)
+    match = _SENTENCE_RE.fullmatch(text)
     if match:
         fact, marks = match.groups()
         return Sentence(fact, tuple(marks.encode().translate(_MARKS, b".")))
@@ -94,13 +87,9 @@ def parse_sentence(text: str) -> Sentence:
         raise SentenceError("empty sentence", 0)
     segments = text.split(".")
     fact = segments[0]
-    if not _FACT_RE.match(fact):
-        pos = 0
-        for i, ch in enumerate(fact):
-            if ch not in _FACT_CHARS or (i == 0 and not ch.isalpha()):
-                pos = i
-                break
-        raise SentenceError(f"bad fact name {fact!r}", pos)
+    match = _FACT_RE.match(fact)  # a bad fact is wrong where the match stops
+    if not match or match.end() < len(fact):
+        raise SentenceError(f"bad fact name {fact!r}", match.end() if match else 0)
     pos = len(fact)
     for segment in segments[1:]:
         pos += 1  # the separating dot

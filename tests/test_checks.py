@@ -114,8 +114,8 @@ def test_the_check_entry_points_refuse_counts_that_are_not_ints(bad):
         with pytest.raises(ValueError,
                            match=rf"^{name} must be an int, got {re.escape(repr(bad))}$"):
             call()
-    with pytest.raises(ValueError, match=rf"^bound must be an int in 0\.\.16, "
-                                         rf"got {re.escape(repr(bad))}$"):
+    with pytest.raises(ValueError,
+                       match=rf"^bound must be an int, got {re.escape(repr(bad))}$"):
         check_oracle_equivalence(2, bad)
 
 

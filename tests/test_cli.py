@@ -1,10 +1,15 @@
+import contextlib
+import hashlib
 import io
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knowtell import cli
 from knowtell.checks import CheckConfig, CheckReport, Violation
@@ -160,6 +165,26 @@ def test_check_mutated_fails_with_witness(capsys):
     witnesses = failing[0]["violations"]
     assert witnesses
     assert "understanding" in witnesses[0]["scenario"]
+
+
+# SHA-256 of the bytes `check --format json` prints, every millis set to 0.
+# Nothing else pins the witness and note texts of the default run.
+CHECK_REPORT_DIGESTS = {
+    ("--seed", "42"):
+        "a7ddaff47dfe7c6fce554227d79ab9ced7a92ba8e5a52a25bd92d3cdb8efb9b3",
+    ("--mutate", "no-understanding"):
+        "34ce40977e161f6c989fb5a5dd165ce3a72b8fdf0a089906b1b0e5d9b37a894b",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(CHECK_REPORT_DIGESTS),
+                         ids=["mutate", "seed-42"])
+def test_the_default_check_reports_are_pinned(capsys, argv):
+    code = main(["check", "--format", "json", *argv])
+    assert code == (1 if "--mutate" in argv else 0)
+    out, count = re.subn(r'"millis": \d+', '"millis": 0', capsys.readouterr().out)
+    assert count == 5
+    assert hashlib.sha256(out.encode()).hexdigest() == CHECK_REPORT_DIGESTS[argv]
 
 
 def test_emit_report_byte_identical():
@@ -372,3 +397,84 @@ def test_module_entry_point(scenario_path):
     )
     assert proc.returncode == 0
     assert "side 1 knows: a" in proc.stdout
+
+
+# Fuzz documents: well-formed ones with at most one field broken, and
+# arbitrary JSON.
+json_st = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.text("ab1.", max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text("ab", max_size=2), inner, max_size=3),
+    max_leaves=8,
+)
+bad_value_st = json_st | st.lists(st.sampled_from(["a", "b", "A", "1a", ""]),
+                                  max_size=3)
+sentence_text_st = st.builds(
+    "".join, st.lists(st.sampled_from(["a", "b", "c", ".1", ".2", ".3", ".", "A"]),
+                      max_size=5))
+
+
+@st.composite
+def broken(draw, doc: dict):
+    """doc, or doc with one field dropped or given a bad value."""
+    key = draw(st.none() | st.sampled_from(["extra", *doc]))
+    if key is None:
+        return doc
+    if draw(st.booleans()):
+        return {k: v for k, v in doc.items() if k != key}
+    return {**doc, key: draw(bad_value_st)}
+
+
+@st.composite
+def scenario_docs(draw):
+    facts = draw(st.lists(st.sampled_from("abc"), unique=True, max_size=3))
+    sides = [draw(st.lists(st.sampled_from(facts), unique=True)) if facts else []
+             for _ in range(2)]
+    model = draw(st.sampled_from(["communication", "understanding"]))
+    return draw(broken({"facts": facts, "side_a": sides[0], "side_b": sides[1],
+                        "model": model}))
+
+
+@st.composite
+def trace_docs(draw):
+    events = []
+    for _ in range(draw(st.integers(0, 4))):
+        sender = draw(st.sampled_from((1, 2)))
+        events.append(draw(broken({"from": sender, "to": 3 - sender,
+                                   "msg": draw(sentence_text_st)})))
+    return events
+
+
+query_st = st.one_of(
+    st.builds(" ".join, st.lists(st.sampled_from(
+        ["knows", "ck", "1", "2", "3", "a", "a.1", "b.2.1", "a..1", "z"]),
+        max_size=4)),
+    st.text(max_size=12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["saturate", "trace", "oracle-compare"]),
+       scenario_docs() | json_st, trace_docs() | json_st,
+       st.lists(query_st, max_size=3), st.integers(0, 3))
+def test_malformed_input_ends_in_a_documented_exit_code(tmp_path_factory, command,
+                                                        scenario, trace, queries,
+                                                        depth):
+    folder = tmp_path_factory.getbasetemp()
+    scenario_path, trace_path = folder / "fuzz-scenario.json", folder / "fuzz-trace.json"
+    scenario_path.write_text(json.dumps(scenario), encoding="utf-8")
+    trace_path.write_text(json.dumps(trace), encoding="utf-8")
+    argv = {
+        "saturate": ["saturate", str(scenario_path), "--emit-regex"],
+        "trace": ["trace", str(scenario_path), str(trace_path),
+                  *(f"--query={query}" for query in queries)],  # a query may start with -
+        "oracle-compare": ["oracle-compare", str(scenario_path), "--depth", str(depth)],
+    }[command]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 3)
+    if code == 3:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert "Traceback" not in err.getvalue()

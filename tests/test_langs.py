@@ -148,7 +148,6 @@ def test_word_walks_reject_the_same_bad_letter(walk):
             with pytest.raises(ValueError,
                                match=rf"^letter must be 1 or 2, got {re.escape(repr(bad))}$"):
                 walk(word)
-    assert ALL_WORDS.dfa.path((1, 2, 2)) == [0, 0, 0, 0]
 
 
 def test_prefixed_examples():
@@ -481,6 +480,25 @@ def test_count_and_unrank_on_fixed_languages():
         count_words(ALL_WORDS, -1)
     with pytest.raises(IndexError):
         word_at(ALL_WORDS, 2, -1)
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, "3"], ids=["true", "float", "str"])
+def test_counting_refuses_a_length_or_index_that_is_not_an_int(bad):
+    # a warm cache once answered 2.0 and True with the entries of 2 and 1,
+    # where a cold one died in range() or took True for 1
+    lang = from_regex("1*2")
+    not_an_int = rf"must be an int, got {re.escape(repr(bad))}$"
+    langs._path_counts.cache_clear()
+    langs.enumerate_words.cache_clear()
+    for _ in ("cold", "warm"):
+        for call in (count_words, enumerate_words, lambda lang, n: word_at(lang, n, 0)):
+            with pytest.raises(ValueError, match="^max_len " + not_an_int):
+                call(lang, bad)
+        with pytest.raises(ValueError, match="^index " + not_an_int):
+            word_at(lang, 3, bad)
+        for n in range(4):
+            enumerate_words(lang, n)  # fills both counting caches
+    assert word_at(lang, 3, 1) == (1, 2)
 
 
 def test_enumeration_depth_is_bounded():

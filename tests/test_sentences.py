@@ -3,7 +3,7 @@ import re
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from knowtell import sentences
@@ -12,7 +12,6 @@ from knowtell.sentences import (
     SentenceError,
     append_knows,
     format_sentence,
-    other_agent,
     parse_sentence,
 )
 
@@ -128,6 +127,29 @@ def test_the_segment_walk_finds_an_error_exactly_where_the_pattern_fails(text):
         assert walk_outcome(text) is None
 
 
+FACT_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789_")
+
+
+def per_character_fact_error(fact):
+    # the rule the parser once applied to a bad fact, character by character:
+    # the first one that may not stand where it does
+    position = 0
+    for i, ch in enumerate(fact):
+        if ch not in FACT_CHARS or (i == 0 and not ch.isalpha()):
+            position = i
+            break
+    return f"bad fact name {fact!r} (at position {position})", position
+
+
+@given(st.one_of(st.text(max_size=12), st.text("az09_.1 A-\u00e9", max_size=12)))
+def test_a_bad_fact_is_located_where_the_per_character_rule_located_it(text):
+    fact = text.split(".")[0]
+    assume(text and not GRAMMAR.match(fact))  # empty text has its own message
+    with pytest.raises(SentenceError) as err:
+        parse_sentence(text)
+    assert (str(err.value), err.value.position) == per_character_fact_error(fact)
+
+
 @given(facts_st, suffixes_st, st.sampled_from((1, 2)))
 def test_append_knows_extends_depth_by_one(fact, suffix, agent):
     sentence = Sentence(fact, suffix)
@@ -160,10 +182,3 @@ def test_bad_values_rejected_at_construction():
             Sentence("a", not_a_tuple)
     with pytest.raises(SentenceError):
         append_knows(Sentence("a"), 0)
-
-
-def test_other_agent():
-    assert other_agent(1) == 2
-    assert other_agent(2) == 1
-    with pytest.raises(SentenceError):
-        other_agent(3)
