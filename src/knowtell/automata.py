@@ -3,25 +3,16 @@
 Everything funnels into one canonical form: a complete deterministic
 acceptor, minimized and renumbered breadth-first with letter 1 before
 letter 2. Two acceptors recognize the same language exactly when their
-canonical forms are structurally identical, which is what lets each
-language be interned as one object. Union, concatenation and star each
-join their operands' transition rows and run the one subset construction,
-and regexes compile through those operations. An acceptor that only gains
-a few states on top of a minimal one is not minimized again: a `Register`
-merges each new state into an equal one. It looks among the states it
-added and, only when both successors are held, among the held rows: no
-held state moves to an added one.
-
-Every acceptor is born in `renumber`, which takes each transition row from
-one table, so equal rows in any two acceptors are one tuple. The table is
-emptied past ``ROW_TABLE_SIZE`` = 32,768 rows: a benchmark trace-session
-round builds 7.3k to 10.8k distinct rows, and `check --seed 42` 69.
-Emptying never changes an answer, as acceptors compare and hash by value.
+canonical forms are structurally identical. Union, concatenation and star
+each join their operands' transition rows and run the one subset
+construction, and regexes compile through those operations. These are the
+general operations; `langs` keeps every language in one shared store of
+distinct states and builds a tell's few new states there directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .regexes import Alt, Cat, Empty, Eps, Lit, Opt, Plus, Regex, Star
 
@@ -35,29 +26,20 @@ class Dfa:
 
     delta: tuple[tuple[int, int], ...]
     accepting: tuple[bool, ...]
-    # hashed once, as the intern table hashes on every lookup, insert and drop;
-    # with slots the cached field does not enlarge every acceptor
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.delta, self.accepting)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def end(self, word) -> int:
-        """The state a run over the word ends in; ValueError on a letter
-        other than 1 or 2."""
-        delta, state = self.delta, 0
-        for letter in word:
-            # the type test keeps out True and 1.0, which compare equal to 1
-            if type(letter) is not int or letter not in (1, 2):
-                raise ValueError(f"letter must be 1 or 2, got {letter!r}")
-            state = delta[state][letter - 1]
-        return state
 
     def accepts(self, word) -> bool:
-        return self.accepting[self.end(word)]
+        return self.accepting[walk(self.delta, 0, word)]
+
+
+def walk(delta, state: int, word) -> int:
+    """The state a run over the word from state ends in; ValueError on a
+    letter other than 1 or 2."""
+    for letter in word:
+        # the type test keeps out True and 1.0, which compare equal to 1
+        if type(letter) is not int or letter not in (1, 2):
+            raise ValueError(f"letter must be 1 or 2, got {letter!r}")
+        state = delta[state][letter - 1]
+    return state
 
 
 def product_dfa(a: Dfa, b: Dfa) -> Dfa:
@@ -183,146 +165,19 @@ def canonical_dfa(dfa: Dfa) -> Dfa:
     return renumber(rows, accepting, block[0])
 
 
-# The row table, sized as the module docstring says.
-ROW_TABLE_SIZE = 1 << 15
-_ROWS: dict[tuple[int, int], tuple[int, int]] = {}
-
-
 def renumber(delta, accepting, start: int) -> Dfa:
     """The states reachable from start, numbered breadth-first with letter 1
     before letter 2: on a minimal acceptor, its canonical form."""
-    number = [-1] * len(delta)
-    number[start] = 0
+    number = {start: 0}
     order = [start]
     rows = []
-    shared = _ROWS.setdefault
     for state in order:
         one, two = delta[state]
-        if number[one] < 0:
+        if one not in number:
             number[one] = len(order)
             order.append(one)
-        if number[two] < 0:
+        if two not in number:
             number[two] = len(order)
             order.append(two)
-        row = (number[one], number[two])
-        rows.append(shared(row, row))
-    if len(_ROWS) > ROW_TABLE_SIZE:
-        _ROWS.clear()
-    return Dfa(tuple(rows), tuple([accepting[s] for s in order]))
-
-
-# Held lookups a register makes by list.index before it hashes the held rows:
-# a scan of a trace-session acceptor's ~94 rows costs 1.4-3.4 us and hashing
-# them 19 us (CPython 3.11 on a shared 2-core VM), and 11 of the 2,656
-# registers of two such rounds made more than eight held lookups (most made
-# two to five).
-HELD_SCANS = 8
-
-
-def row_for(letter: int, target: int, other: int) -> tuple[int, int]:
-    """The transition row that reads letter to target and the other letter
-    to other."""
-    return (target, other) if letter == 1 else (other, target)
-
-
-class Register:
-    """A minimal acceptor that grows one state at a time without ever
-    holding two states with the same language.
-
-    Because every state it holds is distinct, a new state equals an old one
-    exactly when both accept alike and move to the same states (the register
-    of Carrasco & Forcada's incremental minimisation). A held state moves
-    only to held states, so a new state with an added successor is looked up
-    among the added states alone, in a dict of their signatures; one whose
-    successors are both held is also looked up among the held rows, of which
-    a minimal acceptor has at most two alike, one accepting and one not
-    (`_held_state`). The states are kept under their numbers; `to_dfa`
-    renumbers what a start state reaches.
-    """
-
-    def __init__(self, dfa: Dfa):
-        self.held = len(dfa.delta)
-        self.delta = list(dfa.delta)
-        self.accepting = list(dfa.accepting)
-        self.signatures: dict = {}  # (accepting, delta) -> state, added states only
-        self.held_scans = 0  # held lookups made by scanning the rows
-        self.held_signatures: dict | None = None  # the same for held states, once needed
-
-    def _new(self, accepting: bool, delta: tuple[int, int]) -> int:
-        state = self.signatures[accepting, delta] = len(self.delta)
-        self.delta.append(delta)
-        self.accepting.append(accepting)
-        return state
-
-    def add(self, accepting: bool, delta: tuple[int, int]) -> int:
-        """The state that accepts as given and moves to the given states."""
-        state = self.signatures.get((accepting, delta))
-        held = self.held
-        if state is None and delta[0] < held and delta[1] < held:
-            state = self._held_state(accepting, delta)
-        return self._new(accepting, delta) if state is None else state
-
-    def _held_state(self, accepting: bool, delta: tuple[int, int]) -> int | None:
-        """The held state with this signature, if any. The first HELD_SCANS
-        lookups scan the held rows, which costs less than hashing them all;
-        later ones use a dict of the held signatures, built once, so the
-        lookups of one register stay linear in its states."""
-        held = self.held
-        if self.held_scans < HELD_SCANS:
-            self.held_scans += 1
-            try:
-                state = self.delta.index(delta, 0, held)
-                if self.accepting[state] != accepting:
-                    state = self.delta.index(delta, state + 1, held)
-                return state
-            except ValueError:  # no held state accepts so and has this row
-                return None
-        if self.held_signatures is None:
-            self.held_signatures = dict(zip(zip(self.accepting[:held], self.delta[:held]),
-                                            range(held)))
-        return self.held_signatures.get((accepting, delta))
-
-    def add_dead(self) -> int:
-        """The state of the empty language: rejecting, looping on both letters."""
-        for state, delta in enumerate(self.delta):
-            if delta == (state, state) and not self.accepting[state]:
-                return state
-        state = len(self.delta)
-        return self._new(False, (state, state))
-
-    def add_cycle(self, letter: int, exits: list[int]) -> list[int]:
-        """Accepting states c_0 .. c_{p-1}, where c_k reads letter to
-        c_{k+1 mod p} and the other letter to exits[k].
-
-        c_k and c_{k+d} are equal exactly when d is a multiple of the least
-        period of exits, and one of them equals a held state only if c_0
-        does, which a walk of one period from each candidate decides.
-        """
-        p = period = len(exits)
-        for d in range(1, p):
-            if p % d == 0 and exits[d:] + exits[:d] == exits:
-                period = d
-                break
-        on, off = letter - 1, 2 - letter
-        delta, accepting = self.delta, self.accepting
-        first_exit, rest = exits[0], exits[1:period]
-        for first, row in enumerate(delta):
-            if row[off] != first_exit or not accepting[first]:
-                continue
-            state, cycle = row[on], [first]
-            for exit in rest:
-                if not accepting[state] or delta[state][off] != exit:
-                    break
-                cycle.append(state)
-                state = delta[state][on]
-            else:
-                if state == first:
-                    return [cycle[k % period] for k in range(p)]
-        first = len(self.delta)
-        cycle = [self._new(True, row_for(letter, first + (k + 1) % period, exits[k]))
-                 for k in range(period)]
-        return [cycle[k % period] for k in range(p)]
-
-    def to_dfa(self, start: int) -> Dfa:
-        return renumber(self.delta, self.accepting, start)
-
+        rows.append((number[one], number[two]))
+    return Dfa(tuple(rows), tuple([bool(accepting[s]) for s in order]))

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from knowtell import automata, dynamics, langs, regexes
+from knowtell import dynamics, langs, regexes
 from knowtell.dynamics import (
     TellError,
     TellEvent,
@@ -46,7 +46,8 @@ from knowtell.states import (
     language_equal,
 )
 from tests.test_checks import sample_tell
-from tests.test_langs import clear_language_caches, evicting, language_caches
+from tests.test_langs import (clear_language_caches, evicting, language_caches,
+                              moore_block_count, reachable_states)
 
 
 def own_suffix_closed(state):
@@ -258,40 +259,39 @@ def test_evicting_every_cache_keeps_the_pinned_acceptors(monkeypatch):
     test_traced_acceptors_and_ck_answers_are_pinned()
 
 
-def test_a_tiny_row_table_keeps_the_pinned_acceptors(monkeypatch):
-    # the pinned replay above, with the row table emptied every few acceptors:
-    # emptying it only ends the sharing of rows built before
-    monkeypatch.setattr(automata, "ROW_TABLE_SIZE", 8)
-    renumber, emptied = automata.renumber, []
+def test_a_tiny_store_cap_keeps_the_pinned_acceptors(monkeypatch):
+    # the pinned replay above, with the store rebuilt from the live roots
+    # whenever it passes 64 states, or twice what the last rebuild kept:
+    # a rebuild renumbers every stored state and root and changes no language
+    rebuild, kept = langs._rebuild, []
 
-    def bounded_renumber(*args):
-        dfa = renumber(*args)
-        assert len(automata._ROWS) <= 8
-        emptied.append(not automata._ROWS)  # every acceptor has a row
-        return dfa
+    def counted_rebuild():
+        rebuild()
+        kept.append(len(langs._delta))
 
-    monkeypatch.setattr(automata, "renumber", bounded_renumber)
+    monkeypatch.setattr(langs, "STORE_CAP", 64)
+    monkeypatch.setattr(langs, "_rebuild", counted_rebuild)
     clear_language_caches()
     test_traced_acceptors_and_ck_answers_are_pinned()
-    assert sum(emptied) > 1
+    assert len(kept) > 2
 
 
-def test_every_way_of_building_an_acceptor_shares_its_rows(worked_example, monkeypatch):
-    # a fresh table, so that no emptying falls inside the run
-    monkeypatch.setattr(automata, "_ROWS", {})
+def test_every_way_of_building_a_language_keeps_the_store_minimal(worked_example):
     clear_language_caches()
-    held_elsewhere = set(Lang._interned.values())
+    langs._rebuild()  # the store now holds only what live languages reach
     rng = random.Random(6)
     state_a, state_b = initial_state(1, worked_example), initial_state(2, worked_example)
-    for _ in range(300):  # a register's to_dfa
+    for _ in range(300):  # tells add their states by signature and cycle shape
         event = sample_tell(state_a, state_b, worked_example.facts, rng, 8)
         state_a, state_b = step(state_a, state_b, event, worked_example.model)
-    limit = saturate(worked_example)  # determinize and canonical_dfa
-    compiled = from_regex("1(21)*2|22*1")
-    built = set(Lang._interned.values()) - held_elsewhere
-    assert compiled in built and limit.state_b.langs["a"] in built
-    assert state_a.langs["a"] in built and state_b.langs["b"] in built
-    assert all(automata._ROWS[row] is row for lang in built for row in lang.dfa.delta)
+    limit = saturate(worked_example)  # minimal acceptors, inserted component by component
+    built = [*state_a.langs.values(), *state_b.langs.values(), *limit.state_a.langs.values(),
+             *limit.state_b.langs.values(), from_regex("1(21)*2|22*1"),
+             prefixed((2, 1, 2), limit.state_b.langs["a"])]
+    states = range(len(langs._delta))
+    assert moore_block_count(states) == len(states)
+    for lang in built:
+        assert Lang(lang.dfa) is lang
 
 
 def cache_room():
@@ -310,9 +310,11 @@ def cache_room():
     return room
 
 
-def test_a_long_session_keeps_the_intern_table_bounded(worked_example):
+def test_a_long_session_keeps_the_intern_table_bounded(worked_example, monkeypatch):
     # 2,537 of these tells grow a language; with a strong intern table and
-    # unbounded caches the table grows with them, to 2,544 languages
+    # unbounded caches the table grows with them, to 2,544 languages. They
+    # add 18,869 states to the store, which a smaller cap rebuilds along the way.
+    monkeypatch.setattr(langs, "STORE_CAP", 4096)
     clear_language_caches()
     held_elsewhere = set(Lang._interned.values())
     rng = random.Random(10)
@@ -323,9 +325,12 @@ def test_a_long_session_keeps_the_intern_table_bounded(worked_example):
             state_a, state_b = step(state_a, state_b, event, worked_example.model)
         live = {*state_a.langs.values(), *state_b.langs.values()}
         assert len(Lang._interned) <= len(held_elsewhere) + len(live) + cache_room()
-        assert len(automata._ROWS) <= automata.ROW_TABLE_SIZE
+        assert len(langs._delta) <= max(langs.STORE_CAP, 2 * langs._kept)
     clear_language_caches()
     assert set(Lang._interned.values()) <= held_elsewhere | live
+    # a rebuild keeps exactly the states the live languages reach
+    langs._rebuild()
+    assert len(langs._delta) == len(reachable_states(lang.root for lang in Lang._interned.values()))
 
 
 def test_run_trace(worked_example):

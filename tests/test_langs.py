@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from knowtell import automata, dynamics, langs, oracle
-from knowtell.automata import canonical_dfa, renumber
+from knowtell.automata import canonical_dfa, compile_regex, renumber
 from knowtell.dynamics import _solve_fact, _tell_tail, saturate
 from knowtell.langs import (
     ALL_WORDS,
@@ -40,7 +40,8 @@ from knowtell.langs import (
     word_at,
 )
 from knowtell.regexes import word_regex
-from knowtell.states import Scenario, initial_state
+from knowtell.sentences import parse_sentence
+from knowtell.states import Scenario, common_knowledge, initial_state, knows
 from tests.test_regexes import regex_asts
 
 
@@ -193,6 +194,11 @@ def test_union_tail_examples():
     for bad in (True, 3):
         with pytest.raises(ValueError, match=rf"^mark must be 1 or 2, got {bad!r}$"):
             union_tail(EMPTY, (), bad, False)
+    # a truthy "no" once ran the understanding rule, and None the communication one
+    for bad in ("no", None, 0, 1):
+        with pytest.raises(ValueError,
+                           match=rf"^optional must be a bool, got {re.escape(repr(bad))}$"):
+            union_tail(EMPTY, (), 1, bad)
     # a list would pass the letter check and then fail in the cache's hash
     with pytest.raises(ValueError, match=r"^word must be a tuple, got \[1\]$"):
         union_tail(EMPTY, [1], 1, False)
@@ -350,13 +356,17 @@ def test_pruned_subset_matches_unpruned_walk(a, b, word):
 
 
 @st.composite
-def minimal_dfa_langs(draw):
+def minimal_dfas(draw):
     # any minimal acceptor, including ones no run of tells can reach
     n = draw(st.integers(min_value=1, max_value=8))
     state = st.integers(min_value=0, max_value=n - 1)
     delta = draw(st.lists(st.tuples(state, state), min_size=n, max_size=n))
     accepting = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    return Lang(canonical_dfa(renumber(delta, accepting, 0)))
+    return canonical_dfa(renumber(delta, accepting, 0))
+
+
+def minimal_dfa_langs():
+    return minimal_dfas().map(Lang)
 
 
 def renumber_by_dict(delta, accepting, start):
@@ -388,12 +398,44 @@ def test_renumber_matches_dict_numbering(table):
     assert renumber(*table) == renumber_by_dict(*table)
 
 
-def register_by_scan(register, accepting, row):
-    # reference: the first held or added state with this signature, or None
-    for state, held_row in enumerate(register.delta):
-        if register.accepting[state] == accepting and held_row == row:
+def reachable_states(roots):
+    """The stored states the roots reach, in breadth-first order."""
+    order = list(dict.fromkeys(roots))
+    seen = set(order)
+    for state in order:
+        for after in langs._delta[state]:
+            if after not in seen:
+                seen.add(after)
+                order.append(after)
+    return order
+
+
+def moore_block_count(states):
+    """How many languages the stored states hold, by Moore refinement over
+    them; states must be closed under successors."""
+    block = {s: langs._accepting[s] for s in states}
+    count = len(set(block.values()))
+    while True:
+        index = {}
+        block = {s: index.setdefault((block[s], *(block[t] for t in langs._delta[s])),
+                                     len(index))
+                 for s in states}
+        if len(index) == count:
+            return count
+        count = len(index)
+
+
+def stored_by_scan(accepting, row):
+    # reference: the stored state with this signature, found by scanning every row
+    start = 0
+    while True:
+        try:
+            state = langs._delta.index(row, start)
+        except ValueError:
+            return None
+        if langs._accepting[state] == accepting:
             return state
-    return None
+        start = state + 1
 
 
 @settings(max_examples=200, deadline=None)
@@ -402,33 +444,86 @@ def register_by_scan(register, accepting, row):
                           st.booleans()),
                 max_size=30))
 def test_register_add_finds_what_a_scan_of_every_state_finds(lang, signatures):
-    # enough lookups of held rows, with either acceptance, to pass HELD_SCANS
-    register = automata.Register(lang.dfa)
-    held = len(register.delta)
-    for accepting, one, two, held_row in signatures:
-        # successors among the states held so far, held or added
-        n = len(register.delta)
-        row = register.delta[one % held] if held_row else (one % n, two % n)
-        expected = register_by_scan(register, accepting, row)
-        state = register.add(accepting, row)
+    # the store is one register for every language: a lookup of a state's
+    # signature finds the one stored state a scan finds, or adds one
+    reach = reachable_states([lang.root])
+    for accepting, one, two, stored_row in signatures:
+        # the row of a state lang reaches, or any successors in the store
+        n = len(langs._delta)
+        row = langs._delta[reach[one % len(reach)]] if stored_row else (one % n, two % n)
+        expected = stored_by_scan(accepting, row)
+        state = langs._add(accepting, row)
         assert state == (n if expected is None else expected)
-        assert (register.accepting[state], register.delta[state]) == (accepting, row)
+        assert (langs._accepting[state], langs._delta[state]) == (accepting, row)
 
 
 @settings(max_examples=200, deadline=None)
-@given(minimal_dfa_langs(), st.sampled_from((1, 2)), st.integers(0, 99),
-       st.lists(st.tuples(st.booleans(), st.integers(0, 99), st.integers(0, 99)),
-                max_size=4))
-def test_a_cycle_of_one_repeated_exit_is_one_state(lang, letter, exit, added):
+@given(minimal_dfa_langs(), st.sampled_from((1, 2)), st.integers(0, 99))
+def test_a_cycle_of_one_repeated_exit_is_one_state(lang, letter, exit):
     # a cycle of two states with the same exit has period 1: one state
-    one, two = automata.Register(lang.dfa), automata.Register(lang.dfa)
-    for accepting, s, t in added:
-        n = len(one.delta)
-        assert one.add(accepting, (s % n, t % n)) == two.add(accepting, (s % n, t % n))
-    exit %= len(one.delta)
-    [state] = one.add_cycle(letter, [exit])
-    assert two.add_cycle(letter, [exit, exit]) == [state, state]
-    assert (one.delta, one.accepting) == (two.delta, two.accepting)
+    reach = reachable_states([lang.root])
+    exit = reach[exit % len(reach)]
+    [state] = langs._add_cycle(letter, [exit])
+    n = len(langs._delta)
+    assert langs._add_cycle(letter, [exit, exit]) == [state, state]
+    assert len(langs._delta) == n
+    assert langs._accepting[state] and langs._delta[state] == langs.row_for(letter, state, exit)
+
+
+@st.composite
+def built_langs(draw):
+    """Languages, each with its acceptor as the automata layer alone builds
+    it: regex compiles and minimal acceptors, then unions, concatenations,
+    prefixed words and tells of what was built before."""
+    dfas = draw(st.lists(st.one_of(regex_asts.map(compile_regex), minimal_dfas()),
+                         min_size=1, max_size=3))
+    built = [(Lang(dfa), dfa) for dfa in dfas]
+    steps = st.tuples(st.sampled_from("ucpt"), st.integers(0, 99), st.integers(0, 99),
+                      words_st, st.sampled_from((1, 2)), st.booleans())
+    for op, i, j, word, mark, optional in draw(st.lists(steps, max_size=6)):
+        (a, da), (b, db) = built[i % len(built)], built[j % len(built)]
+        path = compile_regex(word_regex(word))
+        if op == "u":
+            built.append((union(a, b), automata.product_dfa(da, db)))
+        elif op == "c":
+            built.append((concat(a, b), automata.concat_dfa(da, db)))
+        elif op == "p":
+            built.append((prefixed(word, a), automata.concat_dfa(path, da)))
+        else:
+            gain = automata.concat_dfa(path, compile_regex(_tell_tail(mark, optional)))
+            built.append((union_tail(a, word, mark, optional), automata.product_dfa(da, gain)))
+    return built
+
+
+def reaches_universal(state):
+    return any(langs._accepting[s] and langs._delta[s] == (s, s)
+               for s in reachable_states([state]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(built_langs(), words_st)
+def test_the_store_holds_every_language_once(built, word):
+    for lang, dfa in built:
+        assert lang.dfa == dfa
+        assert canonical_dfa(lang.dfa) == lang.dfa
+    for (a, _), (b, _) in itertools.product(built, repeat=2):
+        assert (a is b) == (a.dfa == b.dfa)
+    # no two states the languages reach are equal, and each knows whether
+    # it reaches the universal state
+    states = reachable_states([lang.root for lang, _ in built])
+    assert moore_block_count(states) == len(states)
+    assert all(langs._cone[s] == reaches_universal(s) for s in states)
+    for lang, _ in built:
+        for answer in (lang.contains(word), lang.accepts_empty, contains_cone(lang, word)):
+            assert type(answer) is bool
+
+
+def test_queries_answer_with_bools(worked_example):
+    state_a, state_b = initial_state(1, worked_example), initial_state(2, worked_example)
+    for text in ("a", "a.1", "b.2", "c", "a.2.1"):
+        sentence = parse_sentence(text)
+        assert type(knows(state_a, sentence)) is bool
+        assert type(common_knowledge(state_a, state_b, sentence)) is bool
 
 
 def union_with_gain(lang, word, sender, understanding):
@@ -488,7 +583,7 @@ def test_counting_refuses_a_length_or_index_that_is_not_an_int(bad):
     # where a cold one died in range() or took True for 1
     lang = from_regex("1*2")
     not_an_int = rf"must be an int, got {re.escape(repr(bad))}$"
-    langs._path_counts.cache_clear()
+    langs._counts.clear()
     langs.enumerate_words.cache_clear()
     for _ in ("cold", "warm"):
         for call in (count_words, enumerate_words, lambda lang, n: word_at(lang, n, 0)):
@@ -548,14 +643,14 @@ def evicting(step):
 
 def test_weak_interning_keeps_one_object_per_language():
     lang = from_regex("221(2|e)1*")
-    dfa = lang.dfa
-    assert Lang._interned[dfa] is lang
+    dfa, root = lang.dfa, lang.root
+    assert Lang._interned[root] is lang
     del lang
     clear_language_caches()
-    assert dfa not in Lang._interned
+    assert root not in Lang._interned
     # rebuilt by two routes, it is again one object
     rebuilt = from_regex("221(2|e)1*")
-    assert rebuilt.dfa == dfa and Lang._interned[dfa] is rebuilt
+    assert rebuilt.dfa == dfa and Lang._interned[rebuilt.root] is rebuilt
     assert union_tail(EMPTY, (2, 2, 1), 2, True) is rebuilt
     assert copy.copy(rebuilt) is rebuilt
     assert copy.deepcopy(rebuilt) is rebuilt
@@ -575,17 +670,15 @@ def test_copies_and_pickles_are_the_interned_language():
     assert pickle.loads(pickle.dumps(state)) == state
 
 
-def test_acceptor_hash_is_cached_out_of_sight():
+def test_acceptors_compare_and_hash_by_value():
     lang = from_regex("1*(12+1*)*")
     dfa = lang.dfa
+    assert lang.dfa is dfa  # built once, then kept
     rebuilt = automata.Dfa(tuple(tuple(list(row)) for row in dfa.delta),
                            tuple(list(dfa.accepting)))
     assert rebuilt == dfa and rebuilt is not dfa and hash(rebuilt) == hash(dfa)
-    # the value the dataclass's own hash gave, over the compared fields alone
-    assert hash(dfa) == hash((dfa.delta, dfa.accepting))
     assert repr(dfa) == f"Dfa(delta={dfa.delta!r}, accepting={dfa.accepting!r})"
+    assert all(type(accepts) is bool for accepts in dfa.accepting)
     assert dfa != automata.Dfa(dfa.delta, tuple(not a for a in dfa.accepting))
-    with pytest.raises(TypeError):
-        automata.Dfa(dfa.delta, dfa.accepting, hash(dfa))
     for twin in (copy.copy(dfa), copy.deepcopy(dfa), pickle.loads(pickle.dumps(dfa))):
         assert twin == dfa and hash(twin) == hash(dfa) and Lang(twin) is lang
