@@ -139,10 +139,8 @@ def determinize(delta: tuple[tuple[int, int], ...], eps: dict[int, tuple[int, ..
 
 
 def canonical_dfa(dfa: Dfa) -> Dfa:
-    """Moore minimization plus breadth-first renumbering.
-
-    Assumes every state is reachable (true for anything built here).
-    """
+    """Moore minimization plus breadth-first renumbering; states the start
+    does not reach are dropped."""
     n = len(dfa.delta)
     block = [1 if acc else 0 for acc in dfa.accepting]
     n_blocks = len(set(block))

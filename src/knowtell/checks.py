@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 from .dynamics import _tell_fact, saturate
-from .langs import (Lang, _require_count, cone_word, count_words, distinguishing_word,
-                    word_at)
+from .langs import (ALL_WORDS, Lang, _require_count, cone_word, count_words,
+                    distinguishing_word, word_at)
 from .oracle import compare_symbolic
 from .sentences import Sentence, Word, format_sentence
 from .states import (
@@ -40,6 +40,15 @@ TRACE_LENGTH = 10
 STABILITY_TELLS = 50
 STABILITY_DEPTH = 5
 STABILITY_SEED = 2024
+
+
+@dataclass(frozen=True)
+class CheckConfig:
+    max_facts: int = 3
+    depth: int = 5
+    traces: int = 100
+    seed: int = 42
+    disable_understanding: bool = False
 
 
 @dataclass(frozen=True)
@@ -93,7 +102,7 @@ def _inequality_witness(state_a: KnowledgeState, state_b: KnowledgeState) -> str
     return "languages differ on no fact"
 
 
-def check_language_equivalence_props(max_facts: int = 3) -> CheckReport:
+def check_language_equivalence_props(max_facts: int = CheckConfig.max_facts) -> CheckReport:
     """Saturated languages are equal exactly when the two sides start from
     the same facts; checked both ways over the whole subset grid."""
     started = time.perf_counter()
@@ -145,7 +154,8 @@ def _draw_tell(pairs: Mapping[str, tuple[Lang, Lang]], facts: Sequence[str],
         index -= n
 
 
-def check_ck_dynamics(traces: int = 100, seed: int = 42) -> CheckReport:
+def check_ck_dynamics(traces: int = CheckConfig.traces,
+                      seed: int = CheckConfig.seed) -> CheckReport:
     """Along random truthful traces, the set of facts that are common
     knowledge stays empty at every prefix and never shrinks, in both models;
     and no language either side reaches holds the whole cone of a sentence,
@@ -158,10 +168,10 @@ def check_ck_dynamics(traces: int = 100, seed: int = 42) -> CheckReport:
 
     No rule mixes facts: a trace is a language pair per fact plus its block
     counts and ck set, and a tell is `dynamics._tell_fact` on one pair. A
-    bare fact is common knowledge when both its languages start in the
-    universal state, a bit the cone scan takes once per language. Only the
-    sides a tell changed are re-derived; the draws are those of a full
-    recount before each one.
+    bare fact is common knowledge when both its languages are `ALL_WORDS`,
+    the one language whose root is the universal state. Only the sides a
+    tell changed are re-derived; the draws are those of a full recount
+    before each one.
     """
     _require_count("traces", traces, 1)
     started = time.perf_counter()
@@ -179,8 +189,8 @@ def check_ck_dynamics(traces: int = 100, seed: int = 42) -> CheckReport:
              step_index: int) -> None:
         # a language is searched once per scenario: one table for the whole
         # run would hold every language at once and raise the peak memory
+        scanned.add(lang)
         word = cone_word(lang)
-        universal[lang] = word == ()  # the bare fact's whole cone
         if word is not None:
             report(trace_index, step_index,
                    f"side {side}'s language for {fact} holds every "
@@ -191,15 +201,14 @@ def check_ck_dynamics(traces: int = 100, seed: int = 42) -> CheckReport:
         for side_a, side_b in itertools.product(subsets_of(facts), repeat=2):
             scenario = Scenario.make(facts, side_a, side_b, model)
             count += 1
-            universal: dict[Lang, bool] = {}  # does it hold the bare fact's cone?
+            scanned: set[Lang] = set()
             states = (initial_state(1, scenario), initial_state(2, scenario))
             start = {f: (states[0].langs[f], states[1].langs[f]) for f in facts}
             for side, fact in itertools.product((0, 1), facts):
-                if start[fact][side] not in universal:
+                if start[fact][side] not in scanned:
                     scan(start[fact][side], side + 1, fact, 0, 0)
             start_counts = _block_counts(start, facts, SAMPLE_DEPTH)
-            start_ck = frozenset(f for f, (lang_a, lang_b) in start.items()
-                                 if universal[lang_a] and universal[lang_b])
+            start_ck = frozenset(f for f in facts if start[f] == (ALL_WORDS, ALL_WORDS))
             for trace_index in range(traces):
                 length = rng.randint(0, TRACE_LENGTH)
                 pairs = dict(start)
@@ -233,15 +242,14 @@ def check_ck_dynamics(traces: int = 100, seed: int = 42) -> CheckReport:
                         lang = after[side]
                         if lang is not pair[side]:
                             recount[side * len(facts) + facts.index(fact)] = lang
-                            if lang not in universal:
+                            if lang not in scanned:
                                 scan(lang, side + 1, fact, trace_index, step_index + 1)
-                    held = universal[after[0]] and universal[after[1]]
-                    if held != (fact in ck_set):
+                    if (after == (ALL_WORDS, ALL_WORDS)) != (fact in ck_set):
                         ck_set ^= {fact}
     return _finish("ck-dynamics", count, violations, started)
 
 
-def check_success_theorems(max_facts: int = 3, *,
+def check_success_theorems(max_facts: int = CheckConfig.max_facts, *,
                            disable_understanding: bool = False) -> CheckReport:
     """Equal starting fact sets guarantee success under communication alone;
     joint coverage guarantees success (and common knowledge of every fact)
@@ -341,7 +349,7 @@ def check_fixpoint_stability() -> CheckReport:
                 break
             sender, fact, word = draw
             # no rule mixes facts: only the told fact's languages can grow
-            if _tell_fact(pairs[fact], sender, word, understanding) != pairs[fact]:
+            if _tell_fact(pairs[fact], sender, word, understanding) is not pairs[fact]:
                 violations.append(Violation(
                     scenario.describe(),
                     f"telling '{Sentence(fact, word)}' from side {sender} grew "
@@ -350,7 +358,8 @@ def check_fixpoint_stability() -> CheckReport:
     return _finish("fixpoint-stability", count, violations, started)
 
 
-def check_oracle_equivalence(max_facts: int = 3, depth: int = 5) -> CheckReport:
+def check_oracle_equivalence(max_facts: int = CheckConfig.max_facts,
+                             depth: int = CheckConfig.depth) -> CheckReport:
     """The bounded brute-force closure equals the enumerated saturated
     languages, per agent per fact, over the whole grid in both models."""
     started = time.perf_counter()
@@ -369,15 +378,6 @@ def check_oracle_equivalence(max_facts: int = 3, depth: int = 5) -> CheckReport:
                     f"symbolic-only {symbolic}; bounded-only {bounded}",
                 ))
     return _finish("oracle-equivalence", count, violations, started)
-
-
-@dataclass(frozen=True)
-class CheckConfig:
-    max_facts: int = 3
-    depth: int = 5
-    traces: int = 100
-    seed: int = 42
-    disable_understanding: bool = False
 
 
 def run_all_checks(config: CheckConfig = CheckConfig()) -> list[CheckReport]:

@@ -364,8 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="compare the symbolic limit against the brute-force closure",
     )
     p_cmp.add_argument("scenario")
-    p_cmp.add_argument("--depth", type=_int_in(0, MAX_ORACLE_DEPTH), default=5,
-                       metavar="K")
+    p_cmp.add_argument("--depth", type=_int_in(0, MAX_ORACLE_DEPTH),
+                       default=CheckConfig.depth, metavar="K")
     p_cmp.set_defaults(func=_cmd_oracle_compare)
 
     p_repl = sub.add_parser("repl", help="interactive tell-by-tell shell")

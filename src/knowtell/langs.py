@@ -7,7 +7,8 @@ interned as one object, so ``==`` is identity, and the states a root
 reaches are exactly its minimal acceptor. A new state goes in by one lookup
 of its acceptance and successors, exact because the store is minimal, and
 a cycle by one lookup of its shape, so a tell adds only the states it needs
-and renumbers nothing. The canonical table `Lang.dfa` is built when read.
+and renumbers nothing. `Lang(dfa)` minimises any acceptor first, so the one
+universal state is `ALL_WORDS.root`. `Lang.dfa` is rendered on each read.
 
 The intern table holds its languages weakly, and past ``STORE_CAP``
 states the store is rebuilt from the live ones. The lru caches below keep
@@ -24,7 +25,8 @@ from collections import deque
 from functools import lru_cache
 
 from . import regexes
-from .automata import Dfa, compile_regex, concat_dfa, product_dfa, renumber, star_dfa, walk
+from .automata import (Dfa, canonical_dfa, compile_regex, concat_dfa, product_dfa, renumber,
+                       star_dfa, walk)
 from .regexes import Regex, parse_regex
 from .sentences import Word
 
@@ -68,14 +70,14 @@ class Lang:
     """An exact regular language of suffix words: a root state of the store;
     immutable and interned."""
 
-    __slots__ = ("root", "_dfa", "__weakref__")
+    __slots__ = ("root", "__weakref__")
 
     # one live object per root state; a language nothing else holds drops out
     _interned: weakref.WeakValueDictionary[_Root, "Lang"] = weakref.WeakValueDictionary()
 
     def __new__(cls, dfa: Dfa):
-        # the interned language of a canonical acceptor
-        return _lang(_insert(dfa))
+        # the interned language of any complete acceptor
+        return _lang(_insert(canonical_dfa(dfa)))
 
     def __reduce__(self):
         # copies and unpickled values come back as the interned object
@@ -83,10 +85,8 @@ class Lang:
 
     @property
     def dfa(self) -> Dfa:
-        """The canonical acceptor, built on first read and then kept."""
-        if self._dfa is None:
-            self._dfa = renumber(_delta, _accepting, self.root)
-        return self._dfa
+        """The canonical acceptor, rendered from the store on each read."""
+        return renumber(_delta, _accepting, self.root)
 
     def contains(self, word: Word) -> bool:
         return bool(_accepting[walk(_delta, self.root, word)])
@@ -109,7 +109,7 @@ def _lang(root: int) -> Lang:
     lang = Lang._interned.get(root)
     if lang is None:
         lang = object.__new__(Lang)
-        lang.root, lang._dfa = root, None
+        lang.root = root
         Lang._interned[_Root(root)] = lang
         if len(_delta) > max(STORE_CAP, 2 * _kept):
             _rebuild()
@@ -246,7 +246,7 @@ def _insert(dfa: Dfa) -> int:
 def _rebuild() -> None:
     """Insert the live languages into an empty store."""
     global _kept
-    live = [(lang, renumber(_delta, _accepting, lang.root)) for lang in Lang._interned.values()]
+    live = [(lang, lang.dfa) for lang in Lang._interned.values()]
     for table in (_delta, _accepting, _cone):
         del table[:]
     for table in (*_signatures, _shapes, _cyclic, _counts, Lang._interned):
@@ -403,10 +403,8 @@ def subset(a: Lang, b: Lang) -> bool:
 
 
 def contains_cone(lang: Lang, word: Word) -> bool:
-    """Is every extension of the word in lang? In a minimal complete acceptor:
-    does the word lead to the universal state (accepting, looping on 1 and 2)?"""
-    state = walk(_delta, lang.root, word)
-    return bool(_accepting[state]) and _delta[state] == (state, state)
+    """Does the word lead to the universal state, so lang holds its whole cone?"""
+    return walk(_delta, lang.root, word) == ALL_WORDS.root
 
 
 def cone_word(lang: Lang) -> Word | None:
@@ -419,7 +417,7 @@ def cone_word(lang: Lang) -> Word | None:
     seen = {lang.root}
     while queue:
         word, state = queue.popleft()
-        if _accepting[state] and _delta[state] == (state, state):
+        if state == ALL_WORDS.root:
             return word
         for letter, after in zip((1, 2), _delta[state]):
             if _cone[after] and after not in seen:
@@ -521,8 +519,6 @@ def cone(word: Word) -> Lang:
 
 def distinguishing_word(a: Lang, b: Lang) -> Word | None:
     """Shortest word (letter 1 before 2) in exactly one of the languages."""
-    if a is b:
-        return None
     queue = deque([((), (a.root, b.root))])
     seen = {(a.root, b.root)}
     while queue:
@@ -545,10 +541,11 @@ def to_dot(lang: Lang, name: str = "lang") -> str:
         '  __start [shape=point, label=""];',
         "  __start -> s0;",
     ]
-    for state, acc in enumerate(lang.dfa.accepting):
+    dfa = lang.dfa
+    for state, acc in enumerate(dfa.accepting):
         shape = "doublecircle" if acc else "circle"
         lines.append(f"  s{state} [shape={shape}, label=\"{state}\"];")
-    for state, row in enumerate(lang.dfa.delta):
+    for state, row in enumerate(dfa.delta):
         if row[0] == row[1]:
             lines.append(f"  s{state} -> s{row[0]} [label=\"1,2\"];")
         else:

@@ -120,12 +120,17 @@ def test_check_clean_run(capsys):
     assert "PASS language-equivalence" in out
 
 
-def test_check_defaults_are_check_configs(monkeypatch, capsys):
+def test_check_defaults_are_check_configs(monkeypatch, capsys, scenario_path):
     ran = []
     monkeypatch.setattr(cli, "run_all_checks", lambda config: ran.append(config) or [])
     assert main(["check"]) == 0
     assert main(["check", "--mutate", "no-understanding"]) == 0
     assert ran == [CheckConfig(), CheckConfig(disable_understanding=True)]
+    compare, depths = cli.compare_symbolic, []
+    monkeypatch.setattr(cli, "compare_symbolic",
+                        lambda scenario, depth: depths.append(depth) or compare(scenario, depth))
+    assert main(["oracle-compare", scenario_path]) == 0
+    assert depths == [CheckConfig().depth]
 
 
 def test_check_json_schema(capsys):

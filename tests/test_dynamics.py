@@ -46,8 +46,8 @@ from knowtell.states import (
     language_equal,
 )
 from tests.test_checks import sample_tell
-from tests.test_langs import (clear_language_caches, evicting, language_caches,
-                              moore_block_count, reachable_states)
+from tests.test_langs import (assert_one_universal_state, clear_language_caches, evicting,
+                              language_caches, moore_block_count, reachable_states)
 
 
 def own_suffix_closed(state):
@@ -274,6 +274,7 @@ def test_a_tiny_store_cap_keeps_the_pinned_acceptors(monkeypatch):
     clear_language_caches()
     test_traced_acceptors_and_ck_answers_are_pinned()
     assert len(kept) > 2
+    assert_one_universal_state()
 
 
 def test_every_way_of_building_a_language_keeps_the_store_minimal(worked_example):
@@ -290,6 +291,7 @@ def test_every_way_of_building_a_language_keeps_the_store_minimal(worked_example
              prefixed((2, 1, 2), limit.state_b.langs["a"])]
     states = range(len(langs._delta))
     assert moore_block_count(states) == len(states)
+    assert_one_universal_state()
     for lang in built:
         assert Lang(lang.dfa) is lang
 

@@ -356,13 +356,18 @@ def test_pruned_subset_matches_unpruned_walk(a, b, word):
 
 
 @st.composite
-def minimal_dfas(draw):
-    # any minimal acceptor, including ones no run of tells can reach
+def complete_dfas(draw):
+    # any complete acceptor, equal and unreachable states allowed
     n = draw(st.integers(min_value=1, max_value=8))
     state = st.integers(min_value=0, max_value=n - 1)
     delta = draw(st.lists(st.tuples(state, state), min_size=n, max_size=n))
     accepting = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    return canonical_dfa(renumber(delta, accepting, 0))
+    return automata.Dfa(tuple(delta), tuple(accepting))
+
+
+def minimal_dfas():
+    # any minimal acceptor, including ones no run of tells can reach
+    return complete_dfas().map(lambda dfa: canonical_dfa(renumber(dfa.delta, dfa.accepting, 0)))
 
 
 def minimal_dfa_langs():
@@ -473,11 +478,13 @@ def test_a_cycle_of_one_repeated_exit_is_one_state(lang, letter, exit):
 @st.composite
 def built_langs(draw):
     """Languages, each with its acceptor as the automata layer alone builds
-    it: regex compiles and minimal acceptors, then unions, concatenations,
-    prefixed words and tells of what was built before."""
-    dfas = draw(st.lists(st.one_of(regex_asts.map(compile_regex), minimal_dfas()),
+    it: regex compiles and any complete acceptors, minimal or not, then
+    unions, concatenations, prefixed words and tells of what was built
+    before."""
+    dfas = draw(st.lists(st.one_of(regex_asts.map(compile_regex), minimal_dfas(),
+                                   complete_dfas()),
                          min_size=1, max_size=3))
-    built = [(Lang(dfa), dfa) for dfa in dfas]
+    built = [(Lang(dfa), canonical_dfa(dfa)) for dfa in dfas]
     steps = st.tuples(st.sampled_from("ucpt"), st.integers(0, 99), st.integers(0, 99),
                       words_st, st.sampled_from((1, 2)), st.booleans())
     for op, i, j, word, mark, optional in draw(st.lists(steps, max_size=6)):
@@ -495,9 +502,18 @@ def built_langs(draw):
     return built
 
 
+def is_universal(state):
+    # accepting, and looping on both letters
+    return langs._accepting[state] and langs._delta[state] == (state, state)
+
+
 def reaches_universal(state):
-    return any(langs._accepting[s] and langs._delta[s] == (s, s)
-               for s in reachable_states([state]))
+    return any(map(is_universal, reachable_states([state])))
+
+
+def assert_one_universal_state():
+    # the readers of the universal state take it to be ALL_WORDS.root
+    assert [s for s in range(len(langs._delta)) if is_universal(s)] == [ALL_WORDS.root]
 
 
 @settings(max_examples=300, deadline=None)
@@ -513,9 +529,25 @@ def test_the_store_holds_every_language_once(built, word):
     states = reachable_states([lang.root for lang, _ in built])
     assert moore_block_count(states) == len(states)
     assert all(langs._cone[s] == reaches_universal(s) for s in states)
+    assert_one_universal_state()
     for lang, _ in built:
         for answer in (lang.contains(word), lang.accepts_empty, contains_cone(lang, word)):
             assert type(answer) is bool
+
+
+def test_any_complete_acceptor_goes_in_as_its_minimal_language():
+    # two equal accepting states: inserted unminimised, they would make a second
+    # language of all words that no reader of the universal state recognises
+    lang = Lang(automata.Dfa(((1, 1), (0, 0)), (True, True)))
+    assert lang is ALL_WORDS and lang.dfa == ALL_WORDS.dfa
+    assert subset(ALL_WORDS, lang) and contains_cone(lang, ()) and cone_word(lang) == ()
+    assert_one_universal_state()
+
+
+@settings(max_examples=200, deadline=None)
+@given(complete_dfas())
+def test_minimising_drops_the_unreachable_states(dfa):
+    assert canonical_dfa(dfa) == canonical_dfa(renumber(dfa.delta, dfa.accepting, 0))
 
 
 def test_queries_answer_with_bools(worked_example):
@@ -673,7 +705,7 @@ def test_copies_and_pickles_are_the_interned_language():
 def test_acceptors_compare_and_hash_by_value():
     lang = from_regex("1*(12+1*)*")
     dfa = lang.dfa
-    assert lang.dfa is dfa  # built once, then kept
+    assert lang.dfa == dfa  # rendered from the store on each read
     rebuilt = automata.Dfa(tuple(tuple(list(row)) for row in dfa.delta),
                            tuple(list(dfa.accepting)))
     assert rebuilt == dfa and rebuilt is not dfa and hash(rebuilt) == hash(dfa)
