@@ -297,6 +297,7 @@ EMPTY: Lang
 EPSILON: Lang
 ALL_WORDS: Lang
 LETTER: dict[int, Lang]
+OWN_CHAINS: dict[int, Lang]
 
 
 def union(a: Lang, b: Lang) -> Lang:
@@ -322,6 +323,8 @@ def union_tail(lang: Lang, word: Word, mark: int, optional: bool) -> Lang:
     when it already holds all of word.T."""
     # checked before the cache, whose keys do not tell True or 1.0 from 1
     # and cannot hold a list
+    if not isinstance(lang, Lang):
+        raise ValueError(f"lang must be a Lang, got {lang!r}")
     if type(mark) is not int or mark not in (1, 2):
         raise ValueError(f"mark must be 1 or 2, got {mark!r}")
     if not isinstance(word, tuple):
@@ -341,9 +344,13 @@ def _union_tail(lang: Lang, word: Word, mark: int, optional: bool) -> Lang:
     from q) stays on accepting states. Otherwise the result shares every
     state of the store and adds the few states the tell needs, each added
     by its signature once its successors are known: first, for each state s
-    on those own-mark runs, the state of L_s + own* (the runs end in cycles,
-    which `_add_cycle` adds as a component); then q with T; then the states
-    along word, from the last letter back.
+    on those own-mark runs, the state of L_s + own*; then q with T; then the
+    states along word, from the last letter back.
+
+    A run stops at the empty state or at own*, where L_s + own* is own*. A
+    language that tells build from the start languages is own* or empty plus
+    finitely many word.T, so each of its runs reaches one of the two; only a
+    run of another language can close a cycle, which `_add_cycle` adds.
     """
     own = 3 - mark
     delta, accepting = _delta, _accepting
@@ -355,7 +362,8 @@ def _union_tail(lang: Lang, word: Word, mark: int, optional: bool) -> Lang:
             and (not optional or _own_loop_accepts(q, own))):
         return lang
 
-    looped: dict[int, int] = {}  # s -> the state of L_s + own*
+    chain = OWN_CHAINS[own].root  # read here, since a rebuild renews roots
+    looped = {EMPTY.root: chain, chain: chain}  # s -> the state of L_s + own*
 
     def loop(seed: int) -> int:
         run, on_run, s = [], {}, seed
@@ -559,3 +567,5 @@ EMPTY = from_ast(regexes.EMPTY)
 EPSILON = from_ast(regexes.EPS)
 ALL_WORDS = from_regex("(1|2)*")
 LETTER = {1: from_ast(regexes.Lit(1)), 2: from_ast(regexes.Lit(2))}
+# each agent's own-mark chains, where its own facts start
+OWN_CHAINS = {agent: star(LETTER[agent]) for agent in (1, 2)}

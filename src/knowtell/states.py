@@ -12,7 +12,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .langs import EMPTY, LETTER, Lang, contains_cone, star
+from .langs import EMPTY, OWN_CHAINS, Lang, contains_cone
 from .sentences import Sentence, check_agent, check_fact
 
 
@@ -107,10 +107,6 @@ class KnowledgeState:
         if lang is None:
             raise UnknownFactError(f"fact {fact!r} is not part of the scenario")
         return lang
-
-
-# built once: initial_state runs for every scenario of the check grids
-OWN_CHAINS = {agent: star(LETTER[agent]) for agent in (1, 2)}
 
 
 def initial_state(agent: int, scenario: Scenario) -> KnowledgeState:

@@ -282,7 +282,7 @@ def test_every_way_of_building_a_language_keeps_the_store_minimal(worked_example
     langs._rebuild()  # the store now holds only what live languages reach
     rng = random.Random(6)
     state_a, state_b = initial_state(1, worked_example), initial_state(2, worked_example)
-    for _ in range(300):  # tells add their states by signature and cycle shape
+    for _ in range(300):  # tells add their states by signature alone
         event = sample_tell(state_a, state_b, worked_example.facts, rng, 8)
         state_a, state_b = step(state_a, state_b, event, worked_example.model)
     limit = saturate(worked_example)  # minimal acceptors, inserted component by component
@@ -294,6 +294,30 @@ def test_every_way_of_building_a_language_keeps_the_store_minimal(worked_example
     assert_one_universal_state()
     for lang in built:
         assert Lang(lang.dfa) is lang
+
+
+@pytest.mark.parametrize("model", list(ModelKind))
+def test_no_tell_builds_a_cycle(worked_example, model, monkeypatch):
+    # every own-mark run of a told language stops at the empty state or at
+    # the receiver's own chains, so no tell adds or matches a component
+    clear_language_caches()
+    langs._rebuild()  # a rebuild inserts components too; none is due below
+    entered = []
+    add_component = langs._add_component
+
+    def counted_add_component(*args):
+        entered.append(args)
+        return add_component(*args)
+
+    monkeypatch.setattr(langs, "_add_component", counted_add_component)
+    scenario = dataclasses.replace(worked_example, model=model)
+    rng = random.Random(19)
+    state_a, state_b = initial_state(1, scenario), initial_state(2, scenario)
+    for _ in range(300):
+        event = sample_tell(state_a, state_b, scenario.facts, rng, 12)
+        state_a, state_b = step(state_a, state_b, event, model)
+    assert langs._union_tail.cache_info().misses > 100  # the tells grew languages
+    assert entered == []
 
 
 def cache_room():

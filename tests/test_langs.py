@@ -171,8 +171,8 @@ def test_long_words_build_in_linear_time():
 
 
 def test_a_long_own_run_into_a_held_cycle_builds_in_linear_time():
-    # every state on the run of 2s merges into the held state of 2*: each
-    # is a lookup among the held rows, which must not scan them every time
+    # the run of 2s stops at the stored state of 2*, and every state on it
+    # merges into that state by one signature lookup
     lang = prefixed((1,) + (2,) * 20000, from_regex("2*"))
     assert union_tail(lang, (), 1, False) is from_regex("12*")
 
@@ -202,6 +202,30 @@ def test_union_tail_examples():
     # a list would pass the letter check and then fail in the cache's hash
     with pytest.raises(ValueError, match=r"^word must be a tuple, got \[1\]$"):
         union_tail(EMPTY, [1], 1, False)
+    # anything but a language once died on its missing root
+    with pytest.raises(ValueError, match=r"^lang must be a Lang, got 'x'$"):
+        union_tail("x", (), 1, False)
+
+
+def test_a_run_that_closes_another_cycle_takes_the_general_branch(monkeypatch):
+    # a tell's own-mark runs stop at the empty state and at own*; these runs
+    # loop through two other states, such as (22)* and 2(22)*, which
+    # _add_cycle adds
+    clear_language_caches()
+    cycles = []
+    add_cycle = langs._add_cycle
+
+    def counted_add_cycle(*args):
+        cycles.append(args)
+        return add_cycle(*args)
+
+    monkeypatch.setattr(langs, "_add_cycle", counted_add_cycle)
+    for text, word in (("1(22)*", ()), ("1(22)*1", ()), ("21(22)*", (2,))):
+        lang = from_regex(text)
+        cycles.clear()
+        grown = union_tail(lang, word, 1, False)
+        assert cycles
+        assert grown is union(lang, concat(prefixed(word, LETTER[1]), star(LETTER[2])))
 
 
 def test_to_dot_shape():
