@@ -20,8 +20,8 @@ from functools import lru_cache
 from typing import Sequence
 
 from . import regexes
-from .langs import Lang, _union_tail, concat, from_ast, union
-from .regexes import Lit, Regex, alt, cat, opt, regex_to_text
+from .langs import Lang, _tell_tail, _union_tail, concat, from_ast, union
+from .regexes import Lit, alt, cat, regex_to_text
 from .sentences import Sentence, Word, check_agent
 from .states import (KnowledgeState, ModelKind, Scenario, initial_state, knows,
                      model_kind)
@@ -54,13 +54,6 @@ class TellEvent:
             raise TellError("sender and receiver must be different agents")
         if not isinstance(self.message, Sentence):
             raise TellError(f"message must be a Sentence, got {self.message!r}")
-
-
-def _tell_tail(sender: int, understanding: bool) -> Regex:
-    # after the told suffix: the sender's mark (optional under understanding)
-    # and then any run of the receiver's own mark
-    mark = Lit(sender)
-    return cat(opt(mark) if understanding else mark, regexes.star(Lit(3 - sender)))
 
 
 def _tell_fact(pair: tuple[Lang, Lang], sender: int, word: Word,

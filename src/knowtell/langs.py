@@ -6,8 +6,9 @@ added. A `Lang` is a root state: equal languages are the same root,
 interned as one object, so ``==`` is identity, and the states a root
 reaches are exactly its minimal acceptor. A new state goes in by one lookup
 of its acceptance and successors, exact because the store is minimal, and
-a cycle by one lookup of its shape, so a tell adds only the states it needs
-and renumbers nothing. `Lang(dfa)` minimises any acceptor first, so the one
+a cycle, which only a minimal acceptor brings and always whole, by one
+lookup of its shape, so a tell adds only the states it needs and renumbers
+nothing. `Lang(dfa)` minimises any acceptor first, so the one
 universal state is `ALL_WORDS.root`. `Lang.dfa` is rendered on each read.
 
 The intern table holds its languages weakly, and past ``STORE_CAP``
@@ -27,7 +28,7 @@ from functools import lru_cache
 from . import regexes
 from .automata import (Dfa, canonical_dfa, compile_regex, concat_dfa, product_dfa, renumber,
                        star_dfa, walk)
-from .regexes import Regex, parse_regex
+from .regexes import Lit, Regex, cat, opt, parse_regex
 from .sentences import Word
 
 # The store. State s accepts when _accepting[s], reads 1 and 2 to the two
@@ -39,10 +40,8 @@ _cone = bytearray()
 # row -> state, for rejecting and for accepting states; keyed by the stored row
 _signatures: tuple[dict, dict] = ({}, {})
 # the shape key of a cyclic component (`_add_component`) -> the states of
-# each stored component with that key, and each state on a cycle -> the
-# states of its component, which are consecutive
+# each stored component with that key, which are consecutive
 _shapes: dict[tuple, list[range]] = {}
-_cyclic: dict[int, range] = {}
 # state -> the number of accepted words of each length 0, 1, ... read from
 # it, as far as counted; shared by every language that reaches the state
 _counts: dict[int, list[int]] = {}
@@ -134,24 +133,23 @@ def _add_component(accepting: list[bool], rows: list[tuple[int, int]]) -> list[i
     alike: its state k accepts when accepting[k] and moves to rows[k], where
     a successor k >= 0 is its own state k and -1 - s is store state s.
 
-    If its states equal stored ones, those form a stored component of the
-    same shape, found by one lookup of a key that ignores how the component
-    is numbered, or lie in the stored component of one of its exits; state
-    0 is matched against each state of those components.
+    Every component goes in whole, from a minimal acceptor, and no exit of
+    a stored one reaches back into it. So if its states equal stored ones,
+    those form a whole stored component of the same shape, found by one
+    lookup of a key that ignores how the component is numbered; state 0 is
+    matched against each state of those components.
     """
     key = tuple(sorted([(int(accepts), one if one < 0 else 0, two if two < 0 else 0)
                         for accepts, (one, two) in zip(accepting, rows)]))
-    exits = {-1 - e for row in rows for e in row if e < 0}
-    for states in [*_shapes.get(key, ()), *filter(None, map(_cyclic.get, exits))]:
+    for states in _shapes.get(key, ()):
         for state in states:
             found = _match(accepting, rows, state)
             if found is not None:
                 return found
     states = range(len(_delta), len(_delta) + len(rows))
     _shapes.setdefault(key, []).append(states)
-    _cyclic.update(dict.fromkeys(states, states))
     # an exit that reaches the universal state, or the universal state itself
-    cone = key == ((1, 0, 0),) or any(_cone[e] for e in exits)
+    cone = key == ((1, 0, 0),) or any(_cone[-1 - e] for row in rows for e in row if e < 0)
     for k, row in enumerate(rows):
         _add(accepting[k], tuple(states[e] if e >= 0 else -1 - e for e in row), cone)
     return list(states)
@@ -180,20 +178,6 @@ def row_for(letter: int, target: int, other: int) -> tuple[int, int]:
     """The transition row that reads letter to target and the other letter
     to other."""
     return (target, other) if letter == 1 else (other, target)
-
-
-def _add_cycle(letter: int, exits: list[int]) -> list[int]:
-    """Accepting states c_0 .. c_{p-1}, where c_k reads letter to
-    c_{k+1 mod p} and the other letter to exits[k]. c_k and c_{k+d} are
-    equal exactly when d is a multiple of the least period of exits."""
-    p = period = len(exits)
-    for d in range(1, p):
-        if p % d == 0 and exits[d:] + exits[:d] == exits:
-            period = d
-            break
-    cycle = _add_component([True] * period, [row_for(letter, (k + 1) % period, -1 - exits[k])
-                                             for k in range(period)])
-    return [cycle[k % period] for k in range(p)]
 
 
 def _sccs(delta) -> list[list[int]]:
@@ -249,7 +233,7 @@ def _rebuild() -> None:
     live = [(lang, lang.dfa) for lang in Lang._interned.values()]
     for table in (_delta, _accepting, _cone):
         del table[:]
-    for table in (*_signatures, _shapes, _cyclic, _counts, Lang._interned):
+    for table in (*_signatures, _shapes, _counts, Lang._interned):
         table.clear()
     for lang, dfa in live:
         lang.root = _insert(dfa)
@@ -317,10 +301,15 @@ def _own_loop_accepts(state: int, own: int) -> bool:
     return True
 
 
+def _tell_tail(mark: int, optional: bool) -> Regex:
+    """The tail T of a tell that the mark's agent sends: its mark (optional
+    under understanding), then any run of the receiver's own mark."""
+    return cat(opt(Lit(mark)) if optional else Lit(mark), regexes.star(Lit(3 - mark)))
+
+
 def union_tail(lang: Lang, word: Word, mark: int, optional: bool) -> Lang:
-    """lang + word.T for the tell tail T = mark.own* ((mark|e).own* when
-    optional), where own = 3 - mark is the receiver's mark; lang itself
-    when it already holds all of word.T."""
+    """lang + word.T for the tell tail T that `_tell_tail` writes; lang
+    itself when it already holds all of word.T."""
     # checked before the cache, whose keys do not tell True or 1.0 from 1
     # and cannot hold a list
     if not isinstance(lang, Lang):
@@ -349,8 +338,9 @@ def _union_tail(lang: Lang, word: Word, mark: int, optional: bool) -> Lang:
 
     A run stops at the empty state or at own*, where L_s + own* is own*. A
     language that tells build from the start languages is own* or empty plus
-    finitely many word.T, so each of its runs reaches one of the two; only a
-    run of another language can close a cycle, which `_add_cycle` adds.
+    finitely many word.T, so each of its runs reaches one of the two. A run
+    of another language can close a cycle instead; such a tell takes the
+    general union with word.T.
     """
     own = 3 - mark
     delta, accepting = _delta, _accepting
@@ -365,24 +355,24 @@ def _union_tail(lang: Lang, word: Word, mark: int, optional: bool) -> Lang:
     chain = OWN_CHAINS[own].root  # read here, since a rebuild renews roots
     looped = {EMPTY.root: chain, chain: chain}  # s -> the state of L_s + own*
 
-    def loop(seed: int) -> int:
-        run, on_run, s = [], {}, seed
-        while s not in looped and s not in on_run:
-            on_run[s] = len(run)
-            run.append(s)
+    def loop(seed: int) -> int | None:
+        # the state of L_seed + own*, or None when the run closes a cycle
+        run, s = {}, seed
+        while s not in looped:
+            if s in run:
+                return None
+            run[s] = None
             s = delta[s][own - 1]
-        if s in on_run:  # the run closed a cycle that starts at s
-            cycle = run[on_run[s]:]
-            del run[on_run[s]:]
-            exits = [delta[c][mark - 1] for c in cycle]
-            looped.update(zip(cycle, _add_cycle(own, exits)))
         for s in reversed(run):
             after = looped[delta[s][own - 1]]
             looped[s] = _add(True, row_for(own, after, delta[s][mark - 1]))
         return looped[seed]
 
     after_own = loop(delta[q][own - 1]) if optional else delta[q][own - 1]
-    state = _add(accepting[q] or optional, row_for(mark, loop(delta[q][mark - 1]), after_own))
+    after_mark = None if after_own is None else loop(delta[q][mark - 1])
+    if after_mark is None:
+        return union(lang, prefixed(word, from_ast(_tell_tail(mark, optional))))
+    state = _add(accepting[q] or optional, row_for(mark, after_mark, after_own))
     for letter, s in zip(reversed(word), reversed(path)):
         state = _add(accepting[s], row_for(letter, state, delta[s][2 - letter]))
     return _lang(state)
@@ -566,6 +556,6 @@ def to_dot(lang: Lang, name: str = "lang") -> str:
 EMPTY = from_ast(regexes.EMPTY)
 EPSILON = from_ast(regexes.EPS)
 ALL_WORDS = from_regex("(1|2)*")
-LETTER = {1: from_ast(regexes.Lit(1)), 2: from_ast(regexes.Lit(2))}
+LETTER = {1: from_ast(Lit(1)), 2: from_ast(Lit(2))}
 # each agent's own-mark chains, where its own facts start
 OWN_CHAINS = {agent: star(LETTER[agent]) for agent in (1, 2)}

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -432,12 +433,12 @@ def broken(draw, doc: dict):
 
 @st.composite
 def scenario_docs(draw):
+    """Well-formed scenario documents."""
     facts = draw(st.lists(st.sampled_from("abc"), unique=True, max_size=3))
     sides = [draw(st.lists(st.sampled_from(facts), unique=True)) if facts else []
              for _ in range(2)]
     model = draw(st.sampled_from(["communication", "understanding"]))
-    return draw(broken({"facts": facts, "side_a": sides[0], "side_b": sides[1],
-                        "model": model}))
+    return {"facts": facts, "side_a": sides[0], "side_b": sides[1], "model": model}
 
 
 @st.composite
@@ -460,7 +461,7 @@ query_st = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(["saturate", "trace", "oracle-compare"]),
-       scenario_docs() | json_st, trace_docs() | json_st,
+       scenario_docs().flatmap(broken) | json_st, trace_docs() | json_st,
        st.lists(query_st, max_size=3), st.integers(0, 3))
 def test_malformed_input_ends_in_a_documented_exit_code(tmp_path_factory, command,
                                                         scenario, trace, queries,
@@ -483,3 +484,29 @@ def test_malformed_input_ends_in_a_documented_exit_code(tmp_path_factory, comman
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
     assert "Traceback" not in err.getvalue()
+
+
+# repl lines: any 0-5 words, or a tell, knows or ck with its arguments drawn
+repl_agent_st = st.sampled_from(["1", "2", "3"])
+repl_text_st = st.sampled_from(["a", "a.1", "a..1", "a.3", "z", "A"])
+repl_line_st = st.one_of(
+    st.lists(st.sampled_from("tell knows ck facts quit 1 2 3 a a.1 a..1 a.3 z A".split()),
+             max_size=5),
+    st.tuples(st.just("tell"), repl_agent_st, repl_agent_st, repl_text_st),
+    st.tuples(st.just("knows"), repl_agent_st, repl_text_st),
+    st.tuples(st.just("ck"), repl_text_st),
+).map(" ".join)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenario_docs(), st.lists(repl_line_st, max_size=8))
+def test_any_repl_session_ends_cleanly(tmp_path_factory, scenario, lines):
+    # a bad line is answered with an error line, and the session goes on
+    scenario_path = tmp_path_factory.getbasetemp() / "fuzz-repl-scenario.json"
+    scenario_path.write_text(json.dumps(scenario), encoding="utf-8")
+    stdin = io.StringIO("".join(f"{line}\n" for line in lines))
+    out, err = io.StringIO(), io.StringIO()
+    with (mock.patch.object(sys, "stdin", stdin), contextlib.redirect_stdout(out),
+          contextlib.redirect_stderr(err)):
+        assert main(["repl", str(scenario_path)]) == 0
+    assert "Traceback" not in out.getvalue() and err.getvalue() == ""

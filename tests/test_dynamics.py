@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from knowtell import dynamics, langs, regexes
+from knowtell.checks import check_ck_dynamics, check_fixpoint_stability
 from knowtell.dynamics import (
     TellError,
     TellEvent,
@@ -299,17 +300,23 @@ def test_every_way_of_building_a_language_keeps_the_store_minimal(worked_example
 @pytest.mark.parametrize("model", list(ModelKind))
 def test_no_tell_builds_a_cycle(worked_example, model, monkeypatch):
     # every own-mark run of a told language stops at the empty state or at
-    # the receiver's own chains, so no tell adds or matches a component
+    # the receiver's own chains, so no tell adds or matches a component, nor
+    # takes the general union that a run closing a cycle would take
     clear_language_caches()
     langs._rebuild()  # a rebuild inserts components too; none is due below
-    entered = []
-    add_component = langs._add_component
+    entered, unions = [], []
+    add_component, general = langs._add_component, langs.union
 
     def counted_add_component(*args):
         entered.append(args)
         return add_component(*args)
 
+    def counted_union(*args):
+        unions.append(args)
+        return general(*args)
+
     monkeypatch.setattr(langs, "_add_component", counted_add_component)
+    monkeypatch.setattr(langs, "union", counted_union)
     scenario = dataclasses.replace(worked_example, model=model)
     rng = random.Random(19)
     state_a, state_b = initial_state(1, scenario), initial_state(2, scenario)
@@ -317,7 +324,14 @@ def test_no_tell_builds_a_cycle(worked_example, model, monkeypatch):
         event = sample_tell(state_a, state_b, scenario.facts, rng, 12)
         state_a, state_b = step(state_a, state_b, event, model)
     assert langs._union_tail.cache_info().misses > 100  # the tells grew languages
-    assert entered == []
+    assert entered == [] and unions == []
+    # the tells of the check workload, whose limits insert components
+    monkeypatch.setattr(langs, "_add_component", add_component)
+    clear_language_caches()
+    for report in (check_ck_dynamics(traces=20, seed=42), check_fixpoint_stability()):
+        assert report.violations == ()
+    assert langs._union_tail.cache_info().misses > 100
+    assert unions == []
 
 
 def cache_room():

@@ -186,7 +186,7 @@ def test_union_tail_examples():
     assert union_tail(grown, (2,), 2, False) is grown
     assert union_tail(ALL_WORDS, (1, 2), 2, True) is ALL_WORDS
     # the own-mark run from the mark's successor loops through two states,
-    # which the tail makes equal: a cycle of two exits with period 1
+    # which the tail makes equal; the tell takes the general union
     assert union_tail(from_regex("1(22)*"), (), 1, False) is from_regex("12*")
     assert union_tail(from_regex("1(22)*1"), (), 1, False) is from_regex("12*|1(22)*1")
     with pytest.raises(ValueError):
@@ -209,23 +209,24 @@ def test_union_tail_examples():
 
 def test_a_run_that_closes_another_cycle_takes_the_general_branch(monkeypatch):
     # a tell's own-mark runs stop at the empty state and at own*; these runs
-    # loop through two other states, such as (22)* and 2(22)*, which
-    # _add_cycle adds
+    # loop through two other states, such as (22)* and 2(22)*, so the tell
+    # is the union with its gain
     clear_language_caches()
-    cycles = []
-    add_cycle = langs._add_cycle
+    unions = []
+    general = langs.union
 
-    def counted_add_cycle(*args):
-        cycles.append(args)
-        return add_cycle(*args)
+    def counted_union(a, b):
+        unions.append((a, b))
+        return general(a, b)
 
-    monkeypatch.setattr(langs, "_add_cycle", counted_add_cycle)
+    monkeypatch.setattr(langs, "union", counted_union)
     for text, word in (("1(22)*", ()), ("1(22)*1", ()), ("21(22)*", (2,))):
         lang = from_regex(text)
-        cycles.clear()
+        gain = prefixed(word, from_ast(_tell_tail(1, False)))
+        unions.clear()
         grown = union_tail(lang, word, 1, False)
-        assert cycles
-        assert grown is union(lang, concat(prefixed(word, LETTER[1]), star(LETTER[2])))
+        assert unions == [(lang, gain)]
+        assert grown is general(lang, concat(prefixed(word, LETTER[1]), star(LETTER[2])))
 
 
 def test_to_dot_shape():
@@ -486,19 +487,6 @@ def test_register_add_finds_what_a_scan_of_every_state_finds(lang, signatures):
         assert (langs._accepting[state], langs._delta[state]) == (accepting, row)
 
 
-@settings(max_examples=200, deadline=None)
-@given(minimal_dfa_langs(), st.sampled_from((1, 2)), st.integers(0, 99))
-def test_a_cycle_of_one_repeated_exit_is_one_state(lang, letter, exit):
-    # a cycle of two states with the same exit has period 1: one state
-    reach = reachable_states([lang.root])
-    exit = reach[exit % len(reach)]
-    [state] = langs._add_cycle(letter, [exit])
-    n = len(langs._delta)
-    assert langs._add_cycle(letter, [exit, exit]) == [state, state]
-    assert len(langs._delta) == n
-    assert langs._accepting[state] and langs._delta[state] == langs.row_for(letter, state, exit)
-
-
 @st.composite
 def built_langs(draw):
     """Languages, each with its acceptor as the automata layer alone builds
@@ -554,6 +542,19 @@ def test_the_store_holds_every_language_once(built, word):
     assert moore_block_count(states) == len(states)
     assert all(langs._cone[s] == reaches_universal(s) for s in states)
     assert_one_universal_state()
+    # each listed component the languages reach is a strongly connected part
+    # of the store (read with its exits as one sink, its first state's part
+    # is all of it) and a whole one: none of its exits reaches back into it
+    reached = set(states)
+    for component in itertools.chain.from_iterable(langs._shapes.values()):
+        if component[0] not in reached:
+            continue
+        n = len(component)
+        local = [tuple(component.index(t) if t in component else n for t in langs._delta[s])
+                 for s in component]
+        assert len(langs._sccs(local + [(n, n)])[-1]) == n
+        exits = {t for s in component for t in langs._delta[s]}.difference(component)
+        assert set(component).isdisjoint(reachable_states(exits))
     for lang, _ in built:
         for answer in (lang.contains(word), lang.accepts_empty, contains_cone(lang, word)):
             assert type(answer) is bool
