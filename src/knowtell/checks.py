@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 from .dynamics import _tell_fact, saturate
-from .langs import (ALL_WORDS, Lang, _require_count, cone_word, count_words,
-                    distinguishing_word, word_at)
+from .langs import ALL_WORDS, Lang, _require_count, cone_word, distinguishing_word, members
 from .oracle import compare_symbolic
 from .sentences import Sentence, Word, format_sentence
 from .states import (
@@ -126,32 +125,24 @@ def check_language_equivalence_props(max_facts: int = CheckConfig.max_facts) -> 
     return _finish("language-equivalence", count, violations, started)
 
 
-def _block_counts(pairs: Mapping[str, tuple[Lang, Lang]], facts: Sequence[str],
-                  depth: int) -> list[int]:
-    """How many truthful messages of depth <= depth each (sender, fact) block
-    offers, in the order a draw ranks them: side 1's facts, then side 2's."""
-    return [count_words(pairs[fact][side], depth)
-            for side in (0, 1) for fact in facts]
-
-
 def _draw_tell(pairs: Mapping[str, tuple[Lang, Lang]], facts: Sequence[str],
-               counts: Sequence[int], rng: random.Random, depth: int
-               ) -> tuple[int, str, Word] | None:
+               rng: random.Random, depth: int) -> tuple[int, str, Word] | None:
     """A uniformly random truthful tell (sender, fact, word) with message
-    depth <= depth, given the per-fact language pairs and their
-    `_block_counts` at that depth: one rng.randrange over the candidates
-    ranked by sender, fact, then (length, word), which draws exactly as
-    rng.choice over that ranked list would. The word comes from the
-    sender's language: `_tell_fact` may take it as is."""
-    total = sum(counts)
+    depth <= depth, given the per-fact language pairs: one rng.randrange over
+    the candidates ranked by sender, fact, then (length, word), which draws
+    exactly as rng.choice over that ranked list would. Each (sender, fact)
+    block is the sender's `members` list, so `_tell_fact` may take the word
+    as is."""
+    blocks = [(side + 1, fact, members(pairs[fact][side], depth))
+              for side in (0, 1) for fact in facts]
+    total = sum(len(words) for _, _, words in blocks)
     if not total:
         return None
     index = rng.randrange(total)
-    for block, n in enumerate(counts):
-        if index < n:
-            side, fact = block // len(facts), facts[block % len(facts)]
-            return side + 1, fact, word_at(pairs[fact][side], depth, index)
-        index -= n
+    for sender, fact, words in blocks:
+        if index < len(words):
+            return sender, fact, words[index]
+        index -= len(words)
 
 
 def check_ck_dynamics(traces: int = CheckConfig.traces,
@@ -166,12 +157,12 @@ def check_ck_dynamics(traces: int = CheckConfig.traces,
     Covers every subset pair over the two-fact set; reproducible from the
     seed alone. Zero traces is refused: that check would pass unexercised.
 
-    No rule mixes facts: a trace is a language pair per fact plus its block
-    counts and ck set, and a tell is `dynamics._tell_fact` on one pair. A
-    bare fact is common knowledge when both its languages are `ALL_WORDS`,
-    the one language whose root is the universal state. Only the sides a
-    tell changed are re-derived; the draws are those of a full recount
-    before each one.
+    No rule mixes facts: a trace is a language pair per fact plus its ck
+    set, and a tell is `dynamics._tell_fact` on one pair. A bare fact is
+    common knowledge when both its languages are `ALL_WORDS`, the one
+    language whose root is the universal state. Each draw reads the cached
+    member lists of the languages it draws from, so a language that a tell
+    left as it was is not listed again.
     """
     _require_count("traces", traces, 1)
     started = time.perf_counter()
@@ -207,13 +198,10 @@ def check_ck_dynamics(traces: int = CheckConfig.traces,
             for side, fact in itertools.product((0, 1), facts):
                 if start[fact][side] not in scanned:
                     scan(start[fact][side], side + 1, fact, 0, 0)
-            start_counts = _block_counts(start, facts, SAMPLE_DEPTH)
             start_ck = frozenset(f for f in facts if start[f] == (ALL_WORDS, ALL_WORDS))
             for trace_index in range(traces):
                 length = rng.randint(0, TRACE_LENGTH)
                 pairs = dict(start)
-                counts = list(start_counts)
-                recount: dict[int, Lang] = {}  # block -> its grown language
                 ck_set, previous = start_ck, frozenset()
                 for step_index in range(length + 1):
                     if ck_set:
@@ -227,23 +215,14 @@ def check_ck_dynamics(traces: int = CheckConfig.traces,
                     previous = ck_set
                     if step_index == length:
                         break
-                    for block, lang in recount.items():
-                        counts[block] = count_words(lang, SAMPLE_DEPTH)
-                    recount.clear()
-                    draw = _draw_tell(pairs, facts, counts, rng, SAMPLE_DEPTH)
+                    draw = _draw_tell(pairs, facts, rng, SAMPLE_DEPTH)
                     if draw is None:
                         break
                     sender, fact, word = draw
-                    pair = pairs[fact]
-                    after = pairs[fact] = _tell_fact(pair, sender, word, understanding)
-                    if after is pair:
-                        continue
+                    after = pairs[fact] = _tell_fact(pairs[fact], sender, word, understanding)
                     for side in (0, 1):
-                        lang = after[side]
-                        if lang is not pair[side]:
-                            recount[side * len(facts) + facts.index(fact)] = lang
-                            if lang not in scanned:
-                                scan(lang, side + 1, fact, trace_index, step_index + 1)
+                        if after[side] not in scanned:
+                            scan(after[side], side + 1, fact, trace_index, step_index + 1)
                     if (after == (ALL_WORDS, ALL_WORDS)) != (fact in ck_set):
                         ck_set ^= {fact}
     return _finish("ck-dynamics", count, violations, started)
@@ -340,11 +319,9 @@ def check_fixpoint_stability() -> CheckReport:
         result = saturate(scenario)
         pairs = {f: (result.state_a.langs[f], result.state_b.langs[f])
                  for f in facts}
-        # no tell is kept, so the counts hold for every draw
-        counts = _block_counts(pairs, facts, STABILITY_DEPTH)
         understanding = scenario.model is ModelKind.UNDERSTANDING
         for _ in range(STABILITY_TELLS):
-            draw = _draw_tell(pairs, facts, counts, rng, STABILITY_DEPTH)
+            draw = _draw_tell(pairs, facts, rng, STABILITY_DEPTH)
             if draw is None:
                 break
             sender, fact, word = draw

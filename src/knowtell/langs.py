@@ -13,8 +13,9 @@ universal state is `ALL_WORDS.root`. `Lang.dfa` is rendered on each read.
 
 The intern table holds its languages weakly, and past ``STORE_CAP``
 states the store is rebuilt from the live ones. The lru caches below keep
-regex compilation, a tell's growth and enumeration from being redone; each
-holds at most ``CACHE_SIZE`` entries, so a long session keeps only its live
+regex compilation, a tell's growth and a language's ranked member list,
+which random draws and enumeration read, from being redone; each holds at
+most ``CACHE_SIZE`` entries, so a long session keeps only its live
 languages and those the caches still hold. All operations are pure;
 nothing here is ever approximated or sampled.
 """
@@ -42,9 +43,6 @@ _signatures: tuple[dict, dict] = ({}, {})
 # the shape key of a cyclic component (`_add_component`) -> the states of
 # each stored component with that key, which are consecutive
 _shapes: dict[tuple, list[range]] = {}
-# state -> the number of accepted words of each length 0, 1, ... read from
-# it, as far as counted; shared by every language that reaches the state
-_counts: dict[int, list[int]] = {}
 
 # States past which the store is rebuilt from the live languages, or past
 # twice what the last rebuild kept. A benchmark trace-session round adds
@@ -95,11 +93,10 @@ class Lang:
         return bool(_accepting[self.root])
 
     def __repr__(self) -> str:
-        n = count_words(self, 3)
-        sample = (word_at(self, 3, i) for i in range(min(n, 6)))
-        shown = ",".join("e" if not w else "".join(map(str, w)) for w in sample)
-        more = ",..." if n > 6 or count_words(self, 6) > n else ""
-        return f"Lang{{{shown}{more}}}"
+        shown = members(self, 3)[:6]
+        more = ",..." if len(members(self, 6)) > len(shown) else ""
+        text = ",".join("e" if not w else "".join(map(str, w)) for w in shown)
+        return f"Lang{{{text}{more}}}"
 
 
 def _lang(root: int) -> Lang:
@@ -233,7 +230,7 @@ def _rebuild() -> None:
     live = [(lang, lang.dfa) for lang in Lang._interned.values()]
     for table in (_delta, _accepting, _cone):
         del table[:]
-    for table in (*_signatures, _shapes, _counts, Lang._interned):
+    for table in (*_signatures, _shapes, Lang._interned):
         table.clear()
     for lang, dfa in live:
         lang.root = _insert(dfa)
@@ -243,7 +240,7 @@ def _rebuild() -> None:
 
 # Entries per language-keyed cache, sized from the traffic. Unbounded,
 # `check --seed 42` leaves 2,537 entries and 13,187 hits in _union_tail,
-# 23 in from_ast and 6 in enumerate_words. At 1,024
+# 23 in from_ast and 661 in members (64,163 hits). At 1,024
 # entries _union_tail misses 2,550 times (2,432 at seed 1, 2,469 at seed 7),
 # under 1% of its hits lost; at 256 it misses 4,175 times, which slows the
 # check by about a fifth. A long trace of tells rarely hits it at all.
@@ -437,66 +434,34 @@ def _require_count(name: str, value: object, low: int, high: int | None = None):
         raise ValueError(f"{name} must be {wanted}, got {value}")
 
 
-# The enumeration cache is typed, so that 2.0 and True miss the entries of 2
-# and 1 and reach the count rule inside.
+# The member cache is typed, so that 2.0 and True miss the entries of 2 and
+# 1 and reach the type test inside.
 @lru_cache(maxsize=CACHE_SIZE, typed=True)
-def enumerate_words(lang: Lang, max_len: int) -> frozenset[Word]:
-    """Exactly the members with length <= max_len, read off the count table;
-    ValueError unless max_len is an int in 0..MAX_ORACLE_DEPTH."""
+def members(lang: Lang, max_len: int) -> tuple[Word, ...]:
+    """Exactly the members with length <= max_len, in (length, word) order,
+    letter 1 before 2; ValueError unless max_len is an int in
+    0..MAX_ORACLE_DEPTH. The words are listed level by level from the root,
+    and no walk steps into the empty state."""
     _require_count("max_len", max_len, 0, MAX_ORACLE_DEPTH)
-    return frozenset(word_at(lang, max_len, i)
-                     for i in range(count_words(lang, max_len)))
+    dead = EMPTY.root
+    found, level = [], [] if lang.root == dead else [((), lang.root)]
+    for length in range(max_len + 1):
+        found += [word for word, state in level if _accepting[state]]
+        if length == max_len:
+            return tuple(found)
+        deeper = []  # the next level, in order: letter 1 before 2
+        for word, state in level:
+            one, two = _delta[state]
+            if one != dead:
+                deeper.append((word + (1,), one))
+            if two != dead:
+                deeper.append((word + (2,), two))
+        level = deeper
 
 
-def _counted(root: int, max_len: int) -> list[int]:
-    """root's count row, with those of every state it reaches, extended to
-    length max_len: row[r] is the number of accepted words of length exactly
-    r read from the state."""
-    if len(_counts.get(root, ())) <= max_len:
-        reach, seen = [root], {root}
-        for state in reach:
-            for after in _delta[state]:
-                if after not in seen:
-                    seen.add(after)
-                    reach.append(after)
-        for length in range(max_len + 1):
-            for state in reach:
-                row = _counts.setdefault(state, [])
-                if len(row) == length:  # its successors' rows reach length - 1
-                    one, two = _delta[state]
-                    row.append(_counts[one][length - 1] + _counts[two][length - 1] if length
-                               else _accepting[state])
-    return _counts[root]
-
-
-def count_words(lang: Lang, max_len: int) -> int:
-    """How many members have length <= max_len, without listing them;
-    ValueError unless max_len is an int >= 0."""
-    _require_count("max_len", max_len, 0)
-    return sum(_counted(lang.root, max_len)[:max_len + 1])
-
-
-def word_at(lang: Lang, max_len: int, index: int) -> Word:
-    """The index-th member of length <= max_len in (length, word) order,
-    letter 1 before 2; max_len as for count_words, ValueError when index
-    is not an int and IndexError outside 0..count_words - 1."""
-    total = count_words(lang, max_len)
-    if type(index) is not int:  # True would answer for index 1
-        raise ValueError(f"index must be an int, got {index!r}")
-    if not 0 <= index < total:
-        raise IndexError("word index out of range")
-    row, length = _counts[lang.root], 0
-    while index >= row[length]:
-        index -= row[length]
-        length += 1
-    word, state = (), lang.root
-    for remaining in reversed(range(length)):
-        # the words that go on with letter 1 take the lower ranks
-        ones = _counts[_delta[state][0]][remaining]
-        letter, index = (1, index) if index < ones else (2, index - ones)
-        word += (letter,)
-        state = _delta[state][letter - 1]
-    return word
+def enumerate_words(lang: Lang, max_len: int) -> frozenset[Word]:
+    """The set of `members`: exactly the members with length <= max_len."""
+    return frozenset(members(lang, max_len))
 
 
 def solve_arden(base: Lang, loop: Lang) -> Lang:

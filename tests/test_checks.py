@@ -16,7 +16,6 @@ from knowtell.checks import (
     TRACE_LENGTH,
     CheckConfig,
     Violation,
-    _block_counts,
     _draw_tell,
     check_ck_dynamics,
     check_fixpoint_stability,
@@ -28,7 +27,7 @@ from knowtell.checks import (
     subsets_of,
 )
 from knowtell.dynamics import TellEvent, _tell_fact, saturate, step
-from knowtell.langs import ALL_WORDS, cone, contains_cone, count_words, union
+from knowtell.langs import ALL_WORDS, cone, contains_cone, members, union
 from knowtell.sentences import Sentence, format_sentence
 from knowtell.states import (KnowledgeState, ModelKind, Scenario, common_knowledge,
                              initial_state, knows)
@@ -41,11 +40,9 @@ def pairs_of(state_a, state_b, facts):
 
 
 def sample_tell(state_a, state_b, facts, rng, depth):
-    """One draw from fresh block counts, as the checks make it, as the
-    TellEvent it stands for; None when no tell is possible."""
-    pairs = pairs_of(state_a, state_b, facts)
-    counts = _block_counts(pairs, facts, depth)
-    draw = _draw_tell(pairs, facts, counts, rng, depth)
+    """One draw, as the checks make it, as the TellEvent it stands for; None
+    when no tell is possible."""
+    draw = _draw_tell(pairs_of(state_a, state_b, facts), facts, rng, depth)
     if draw is None:
         return None
     sender, fact, word = draw
@@ -254,8 +251,8 @@ def told_stream_digest(monkeypatch, run):
     digest = hashlib.sha256()
     drawn = []
 
-    def drawing(pairs, facts, counts, rng, depth):
-        draw = _draw_tell(pairs, facts, counts, rng, depth)
+    def drawing(pairs, facts, rng, depth):
+        draw = _draw_tell(pairs, facts, rng, depth)
         if draw is not None:
             drawn.append((draw, pairs[draw[1]]))
         return draw
@@ -310,8 +307,8 @@ def test_the_checks_tell_by_the_rule_that_step_guards(monkeypatch):
     tells = grown = 0
     drawn = []
 
-    def drawing(pairs, facts, counts, rng, depth):
-        draw = _draw_tell(pairs, facts, counts, rng, depth)
+    def drawing(pairs, facts, rng, depth):
+        draw = _draw_tell(pairs, facts, rng, depth)
         if draw is not None:
             drawn.append((draw, dict(pairs)))
         return draw
@@ -342,22 +339,22 @@ def test_the_checks_tell_by_the_rule_that_step_guards(monkeypatch):
 
 
 def test_ck_dynamics_counts_only_the_languages_it_draws_from(monkeypatch):
-    # a grown block is counted when the next draw needs it, so the last
-    # states of a trace are never counted
-    counted, drawn_from = set(), set()
+    # a grown language is listed when the next draw needs it, so the last
+    # states of a trace are never listed
+    listed, drawn_from = set(), set()
 
-    def counting(lang, depth):
-        counted.add(lang)
-        return count_words(lang, depth)
+    def listing(lang, depth):
+        listed.add(lang)
+        return members(lang, depth)
 
-    def drawing(pairs, facts, counts, rng, depth):
+    def drawing(pairs, facts, rng, depth):
         drawn_from.update(pairs[f][side] for f in facts for side in (0, 1))
-        return _draw_tell(pairs, facts, counts, rng, depth)
+        return _draw_tell(pairs, facts, rng, depth)
 
-    monkeypatch.setattr(checks, "count_words", counting)
+    monkeypatch.setattr(checks, "members", listing)
     monkeypatch.setattr(checks, "_draw_tell", drawing)
     check_ck_dynamics(20, 42)
-    assert counted == drawn_from
+    assert listed == drawn_from
 
 
 def replay(traces, seed, k=None, mutate=None):

@@ -22,12 +22,12 @@ from knowtell.langs import (
     cone,
     cone_word,
     contains_cone,
-    count_words,
     distinguishing_word,
     enumerate_words,
     from_ast,
     from_regex,
     from_word,
+    members,
     option,
     plus,
     prefixed,
@@ -37,7 +37,6 @@ from knowtell.langs import (
     to_dot,
     union,
     union_tail,
-    word_at,
 )
 from knowtell.regexes import word_regex
 from knowtell.sentences import parse_sentence
@@ -605,21 +604,17 @@ def assert_enumeration_ops_agree(lang):
     for d in range(7):
         # all_words lists by (length, word), letter 1 first
         ordered = [w for w in all_words(d) if lang.contains(w)]
+        assert members(lang, d) == tuple(ordered)
         assert enumerate_words(lang, d) == frozenset(ordered)
-        n = count_words(lang, d)
-        assert n == len(ordered)
-        assert [word_at(lang, d, i) for i in range(n)] == ordered
-        with pytest.raises(IndexError):
-            word_at(lang, d, n)
 
 
 @settings(max_examples=60, deadline=None)
 @given(langs_st)
-def test_count_and_unrank_match_enumeration(a):
+def test_ranked_members_match_membership(a):
     assert_enumeration_ops_agree(a)
 
 
-def test_count_and_unrank_on_fixed_languages():
+def test_ranked_members_on_fixed_languages():
     saturated = [
         lang
         for in_a, in_b, understanding in itertools.product((False, True), repeat=3)
@@ -627,11 +622,9 @@ def test_count_and_unrank_on_fixed_languages():
     ]
     for lang in [EMPTY, ALL_WORDS, *saturated]:
         assert_enumeration_ops_agree(lang)
-    assert count_words(ALL_WORDS, 6) == 2 ** 7 - 1
+    assert len(members(ALL_WORDS, 6)) == 2 ** 7 - 1
     with pytest.raises(ValueError):
-        count_words(ALL_WORDS, -1)
-    with pytest.raises(IndexError):
-        word_at(ALL_WORDS, 2, -1)
+        members(ALL_WORDS, -1)
 
 
 @pytest.mark.parametrize("bad", [True, 2.0, "3"], ids=["true", "float", "str"])
@@ -640,25 +633,36 @@ def test_counting_refuses_a_length_or_index_that_is_not_an_int(bad):
     # where a cold one died in range() or took True for 1
     lang = from_regex("1*2")
     not_an_int = rf"must be an int, got {re.escape(repr(bad))}$"
-    langs._counts.clear()
-    langs.enumerate_words.cache_clear()
+    langs.members.cache_clear()
     for _ in ("cold", "warm"):
-        for call in (count_words, enumerate_words, lambda lang, n: word_at(lang, n, 0)):
+        for call in (members, enumerate_words):
             with pytest.raises(ValueError, match="^max_len " + not_an_int):
                 call(lang, bad)
-        with pytest.raises(ValueError, match="^index " + not_an_int):
-            word_at(lang, 3, bad)
         for n in range(4):
-            enumerate_words(lang, n)  # fills both counting caches
-    assert word_at(lang, 3, 1) == (1, 2)
+            enumerate_words(lang, n)  # fills the member cache
+    assert members(lang, 3)[1] == (1, 2)
 
 
 def test_enumeration_depth_is_bounded():
-    with pytest.raises(ValueError):
-        enumerate_words(ALL_WORDS, MAX_ORACLE_DEPTH + 1)
-    with pytest.raises(ValueError):
-        enumerate_words(ALL_WORDS, -1)
+    for call in (members, enumerate_words):
+        with pytest.raises(ValueError):
+            call(ALL_WORDS, MAX_ORACLE_DEPTH + 1)
+        with pytest.raises(ValueError):
+            call(ALL_WORDS, -1)
     assert oracle.MAX_ORACLE_DEPTH is MAX_ORACLE_DEPTH
+
+
+@pytest.mark.parametrize("text, shown", [
+    ("0", "Lang{}"),
+    ("e", "Lang{e}"),
+    ("(1|2)*", "Lang{e,1,2,11,12,21,...}"),
+    # ",..." marks a member up to length 6 that is not shown
+    ("1111", "Lang{,...}"),
+    ("12|21|1122", "Lang{12,21,...}"),
+    ("1*2", "Lang{2,12,112,...}"),
+])
+def test_repr_shows_the_first_members_up_to_length_3(text, shown):
+    assert repr(from_regex(text)) == shown
 
 
 def test_module_constants_are_canonical():
