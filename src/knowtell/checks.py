@@ -125,16 +125,16 @@ def check_language_equivalence_props(max_facts: int = CheckConfig.max_facts) -> 
     return _finish("language-equivalence", count, violations, started)
 
 
-def _draw_tell(pairs: Mapping[str, tuple[Lang, Lang]], facts: Sequence[str],
-               rng: random.Random, depth: int) -> tuple[int, str, Word] | None:
+def _draw_tell(pairs: Mapping[str, tuple[Lang, Lang]], rng: random.Random,
+               depth: int) -> tuple[int, str, Word] | None:
     """A uniformly random truthful tell (sender, fact, word) with message
     depth <= depth, given the per-fact language pairs: one rng.randrange over
-    the candidates ranked by sender, fact, then (length, word), which draws
-    exactly as rng.choice over that ranked list would. Each (sender, fact)
-    block is the sender's `members` list, so `_tell_fact` may take the word
-    as is."""
-    blocks = [(side + 1, fact, members(pairs[fact][side], depth))
-              for side in (0, 1) for fact in facts]
+    the candidates ranked by sender, fact in the order of pairs, then
+    (length, word), which draws exactly as rng.choice over that ranked list
+    would. Each (sender, fact) block is the sender's `members` list, so
+    `_tell_fact` may take the word as is."""
+    blocks = [(side + 1, fact, members(pair[side], depth))
+              for side in (0, 1) for fact, pair in pairs.items()]
     total = sum(len(words) for _, _, words in blocks)
     if not total:
         return None
@@ -215,7 +215,7 @@ def check_ck_dynamics(traces: int = CheckConfig.traces,
                     previous = ck_set
                     if step_index == length:
                         break
-                    draw = _draw_tell(pairs, facts, rng, SAMPLE_DEPTH)
+                    draw = _draw_tell(pairs, rng, SAMPLE_DEPTH)
                     if draw is None:
                         break
                     sender, fact, word = draw
@@ -321,7 +321,7 @@ def check_fixpoint_stability() -> CheckReport:
                  for f in facts}
         understanding = scenario.model is ModelKind.UNDERSTANDING
         for _ in range(STABILITY_TELLS):
-            draw = _draw_tell(pairs, facts, rng, STABILITY_DEPTH)
+            draw = _draw_tell(pairs, rng, STABILITY_DEPTH)
             if draw is None:
                 break
             sender, fact, word = draw

@@ -287,17 +287,6 @@ def union(a: Lang, b: Lang) -> Lang:
     return Lang(product_dfa(a.dfa, b.dfa))
 
 
-def _own_loop_accepts(state: int, own: int) -> bool:
-    # does every run of the own mark, read from state, end in an accepting state?
-    seen = set()
-    while state not in seen:
-        if not _accepting[state]:
-            return False
-        seen.add(state)
-        state = _delta[state][own - 1]
-    return True
-
-
 def _tell_tail(mark: int, optional: bool) -> Regex:
     """The tail T of a tell that the mark's agent sends: its mark (optional
     under understanding), then any run of the receiver's own mark."""
@@ -325,19 +314,20 @@ def union_tail(lang: Lang, word: Word, mark: int, optional: bool) -> Lang:
 def _union_tail(lang: Lang, word: Word, mark: int, optional: bool) -> Lang:
     """union_tail for arguments already checked, such as a TellEvent's.
 
-    With q the state that word leads to, lang already holds word.T when
-    every run of the own mark from q's mark successor (and, when optional,
-    from q) stays on accepting states. Otherwise the result shares every
-    state of the store and adds the few states the tell needs, each added
-    by its signature once its successors are known: first, for each state s
-    on those own-mark runs, the state of L_s + own*; then q with T; then the
-    states along word, from the last letter back.
+    With q the state that word leads to, the result shares every state of
+    the store and adds the few states the tell needs, each added by its
+    signature once its successors are known: first, for each state s on the
+    own-mark runs from q's mark successor (and, when optional, its own
+    successor), the state of L_s + own*; then q with T; then the states
+    along word, from the last letter back. The store is minimal, so when
+    q's state is q itself the tell adds nothing, and lang comes back.
 
     A run stops at the empty state or at own*, where L_s + own* is own*. A
     language that tells build from the start languages is own* or empty plus
     finitely many word.T, so each of its runs reaches one of the two. A run
-    of another language can close a cycle instead; such a tell takes the
-    general union with word.T.
+    of another language can close a cycle instead: through accepting states
+    only, as a limit's runs do, each state on it holds own* already; through
+    a rejecting one, the tell takes the general union with word.T.
     """
     own = 3 - mark
     delta, accepting = _delta, _accepting
@@ -345,19 +335,19 @@ def _union_tail(lang: Lang, word: Word, mark: int, optional: bool) -> Lang:
     for letter in word:
         path.append(q)
         q = delta[q][letter - 1]
-    if (_own_loop_accepts(delta[q][mark - 1], own)
-            and (not optional or _own_loop_accepts(q, own))):
-        return lang
 
     chain = OWN_CHAINS[own].root  # read here, since a rebuild renews roots
     looped = {EMPTY.root: chain, chain: chain}  # s -> the state of L_s + own*
 
     def loop(seed: int) -> int | None:
-        # the state of L_seed + own*, or None when the run closes a cycle
+        # the state of L_seed + own*, or None for a closed run that rejects
         run, s = {}, seed
         while s not in looped:
             if s in run:
-                return None
+                if not all(accepting[t] for t in run):
+                    return None
+                looped.update(zip(run, run))
+                return seed
             run[s] = None
             s = delta[s][own - 1]
         for s in reversed(run):
@@ -370,6 +360,8 @@ def _union_tail(lang: Lang, word: Word, mark: int, optional: bool) -> Lang:
     if after_mark is None:
         return union(lang, prefixed(word, from_ast(_tell_tail(mark, optional))))
     state = _add(accepting[q] or optional, row_for(mark, after_mark, after_own))
+    if state == q:
+        return lang
     for letter, s in zip(reversed(word), reversed(path)):
         state = _add(accepting[s], row_for(letter, state, delta[s][2 - letter]))
     return _lang(state)

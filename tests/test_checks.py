@@ -42,7 +42,7 @@ def pairs_of(state_a, state_b, facts):
 def sample_tell(state_a, state_b, facts, rng, depth):
     """One draw, as the checks make it, as the TellEvent it stands for; None
     when no tell is possible."""
-    draw = _draw_tell(pairs_of(state_a, state_b, facts), facts, rng, depth)
+    draw = _draw_tell(pairs_of(state_a, state_b, facts), rng, depth)
     if draw is None:
         return None
     sender, fact, word = draw
@@ -251,8 +251,8 @@ def told_stream_digest(monkeypatch, run):
     digest = hashlib.sha256()
     drawn = []
 
-    def drawing(pairs, facts, rng, depth):
-        draw = _draw_tell(pairs, facts, rng, depth)
+    def drawing(pairs, rng, depth):
+        draw = _draw_tell(pairs, rng, depth)
         if draw is not None:
             drawn.append((draw, pairs[draw[1]]))
         return draw
@@ -307,8 +307,8 @@ def test_the_checks_tell_by_the_rule_that_step_guards(monkeypatch):
     tells = grown = 0
     drawn = []
 
-    def drawing(pairs, facts, rng, depth):
-        draw = _draw_tell(pairs, facts, rng, depth)
+    def drawing(pairs, rng, depth):
+        draw = _draw_tell(pairs, rng, depth)
         if draw is not None:
             drawn.append((draw, dict(pairs)))
         return draw
@@ -347,9 +347,9 @@ def test_ck_dynamics_counts_only_the_languages_it_draws_from(monkeypatch):
         listed.add(lang)
         return members(lang, depth)
 
-    def drawing(pairs, facts, rng, depth):
-        drawn_from.update(pairs[f][side] for f in facts for side in (0, 1))
-        return _draw_tell(pairs, facts, rng, depth)
+    def drawing(pairs, rng, depth):
+        drawn_from.update(itertools.chain.from_iterable(pairs.values()))
+        return _draw_tell(pairs, rng, depth)
 
     monkeypatch.setattr(checks, "members", listing)
     monkeypatch.setattr(checks, "_draw_tell", drawing)

@@ -301,7 +301,8 @@ def test_every_way_of_building_a_language_keeps_the_store_minimal(worked_example
 def test_no_tell_builds_a_cycle(worked_example, model, monkeypatch):
     # every own-mark run of a told language stops at the empty state or at
     # the receiver's own chains, so no tell adds or matches a component, nor
-    # takes the general union that a run closing a cycle would take
+    # takes the general union that a run closing a cycle through a rejecting
+    # state would take; the runs of a limit close on accepting states
     clear_language_caches()
     langs._rebuild()  # a rebuild inserts components too; none is due below
     entered, unions = [], []
