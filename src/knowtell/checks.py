@@ -125,24 +125,25 @@ def check_language_equivalence_props(max_facts: int = CheckConfig.max_facts) -> 
     return _finish("language-equivalence", count, violations, started)
 
 
-def _draw_tell(pairs: Mapping[str, tuple[Lang, Lang]], rng: random.Random,
-               depth: int) -> tuple[int, str, Word] | None:
-    """A uniformly random truthful tell (sender, fact, word) with message
-    depth <= depth, given the per-fact language pairs: one rng.randrange over
-    the candidates ranked by sender, fact in the order of pairs, then
-    (length, word), which draws exactly as rng.choice over that ranked list
-    would. Each (sender, fact) block is the sender's `members` list, so
+def _draw_tell(lists: Mapping[str, tuple[Sequence[Word], Sequence[Word]]],
+               rng: random.Random) -> tuple[int, str, Word] | None:
+    """A uniformly random truthful tell (sender, fact, word), given each
+    fact's pair of ranked member lists (side 1's words, side 2's): one
+    rng.randrange over the candidates ranked by sender, fact in the order
+    of lists, then (length, word), which draws exactly as rng.choice over
+    that ranked list would. Each list is the sender's `members` list, so
     `_tell_fact` may take the word as is."""
-    blocks = [(side + 1, fact, members(pair[side], depth))
-              for side in (0, 1) for fact, pair in pairs.items()]
-    total = sum(len(words) for _, _, words in blocks)
+    total = 0
+    for one, two in lists.values():
+        total += len(one) + len(two)
     if not total:
         return None
     index = rng.randrange(total)
-    for sender, fact, words in blocks:
-        if index < len(words):
-            return sender, fact, words[index]
-        index -= len(words)
+    for side in (0, 1):
+        for fact, pair in lists.items():
+            if index < len(pair[side]):
+                return side + 1, fact, pair[side][index]
+            index -= len(pair[side])
 
 
 def check_ck_dynamics(traces: int = CheckConfig.traces,
@@ -160,9 +161,9 @@ def check_ck_dynamics(traces: int = CheckConfig.traces,
     No rule mixes facts: a trace is a language pair per fact plus its ck
     set, and a tell is `dynamics._tell_fact` on one pair. A bare fact is
     common knowledge when both its languages are `ALL_WORDS`, the one
-    language whose root is the universal state. Each draw reads the cached
-    member lists of the languages it draws from, so a language that a tell
-    left as it was is not listed again.
+    language whose root is the universal state. The loop keeps each fact's
+    member lists, listed once per scenario, so a draw asks no cache; a
+    pair that a tell grew is listed again when the next draw needs it.
     """
     _require_count("traces", traces, 1)
     started = time.perf_counter()
@@ -199,9 +200,11 @@ def check_ck_dynamics(traces: int = CheckConfig.traces,
                 if start[fact][side] not in scanned:
                     scan(start[fact][side], side + 1, fact, 0, 0)
             start_ck = frozenset(f for f in facts if start[f] == (ALL_WORDS, ALL_WORDS))
+            start_lists = {f: tuple(members(lang, SAMPLE_DEPTH) for lang in pair)
+                           for f, pair in start.items()}
             for trace_index in range(traces):
                 length = rng.randint(0, TRACE_LENGTH)
-                pairs = dict(start)
+                pairs, lists, grown = dict(start), dict(start_lists), None
                 ck_set, previous = start_ck, frozenset()
                 for step_index in range(length + 1):
                     if ck_set:
@@ -215,11 +218,18 @@ def check_ck_dynamics(traces: int = CheckConfig.traces,
                     previous = ck_set
                     if step_index == length:
                         break
-                    draw = _draw_tell(pairs, rng, SAMPLE_DEPTH)
+                    if grown:  # the last tell grew this fact's pair
+                        one, two = pairs[grown]
+                        lists[grown] = members(one, SAMPLE_DEPTH), members(two, SAMPLE_DEPTH)
+                    draw = _draw_tell(lists, rng)
                     if draw is None:
                         break
                     sender, fact, word = draw
-                    after = pairs[fact] = _tell_fact(pairs[fact], sender, word, understanding)
+                    before = pairs[fact]
+                    after = pairs[fact] = _tell_fact(before, sender, word, understanding)
+                    grown = after is not before and fact
+                    if not grown:  # nothing changed, and nothing to scan
+                        continue
                     for side in (0, 1):
                         if after[side] not in scanned:
                             scan(after[side], side + 1, fact, trace_index, step_index + 1)
@@ -319,9 +329,11 @@ def check_fixpoint_stability() -> CheckReport:
         result = saturate(scenario)
         pairs = {f: (result.state_a.langs[f], result.state_b.langs[f])
                  for f in facts}
+        lists = {f: tuple(members(lang, STABILITY_DEPTH) for lang in pair)
+                 for f, pair in pairs.items()}
         understanding = scenario.model is ModelKind.UNDERSTANDING
         for _ in range(STABILITY_TELLS):
-            draw = _draw_tell(pairs, rng, STABILITY_DEPTH)
+            draw = _draw_tell(lists, rng)
             if draw is None:
                 break
             sender, fact, word = draw

@@ -12,6 +12,7 @@ from knowtell import checks
 from knowtell.checks import (
     FACT_POOL,
     SAMPLE_DEPTH,
+    STABILITY_DEPTH,
     STABILITY_SCENARIOS,
     TRACE_LENGTH,
     CheckConfig,
@@ -39,10 +40,23 @@ def pairs_of(state_a, state_b, facts):
     return {f: (state_a.langs[f], state_b.langs[f]) for f in facts}
 
 
+def lists_of(pairs, depth):
+    """Per fact, side 1's and side 2's member lists up to depth: what the
+    checks draw from."""
+    return {f: tuple(members(lang, depth) for lang in pair) for f, pair in pairs.items()}
+
+
+def drawing_pairs():
+    """The per-fact language pairs of the check that is drawing, read from
+    its frame: a draw is handed only their member lists. Called from a
+    `_draw_tell` hook."""
+    return sys._getframe(2).f_locals["pairs"]
+
+
 def sample_tell(state_a, state_b, facts, rng, depth):
     """One draw, as the checks make it, as the TellEvent it stands for; None
     when no tell is possible."""
-    draw = _draw_tell(pairs_of(state_a, state_b, facts), rng, depth)
+    draw = _draw_tell(lists_of(pairs_of(state_a, state_b, facts), depth), rng)
     if draw is None:
         return None
     sender, fact, word = draw
@@ -244,15 +258,18 @@ def test_sampler_matches_reference_on_saturated_states():
                               len(facts), 5, 20)
 
 
-def told_stream_digest(monkeypatch, run):
+def told_stream_digest(monkeypatch, run, depth):
     """SHA-256 over every (sender, fact, suffix, model) that run tells
     through the check suite's rule: each draw, with the model of the rule
-    call that follows it on the drawn fact's pair."""
+    call that follows it on the drawn fact's pair. Each draw must be handed
+    the member lists up to depth of the pairs the check holds."""
     digest = hashlib.sha256()
     drawn = []
 
-    def drawing(pairs, rng, depth):
-        draw = _draw_tell(pairs, rng, depth)
+    def drawing(lists, rng):
+        pairs = drawing_pairs()
+        assert lists == lists_of(pairs, depth)
+        draw = _draw_tell(lists, rng)
         if draw is not None:
             drawn.append((draw, pairs[draw[1]]))
         return draw
@@ -283,7 +300,8 @@ TELL_STREAM_PINS = [
 
 @pytest.mark.parametrize("seed, pinned", TELL_STREAM_PINS, ids=["seed42", "seed1", "seed7"])
 def test_ck_dynamics_tell_stream_is_pinned(monkeypatch, seed, pinned):
-    digest = told_stream_digest(monkeypatch, lambda: check_ck_dynamics(100, seed))
+    digest = told_stream_digest(monkeypatch, lambda: check_ck_dynamics(100, seed),
+                                SAMPLE_DEPTH)
     assert digest == pinned
 
 
@@ -295,7 +313,7 @@ def test_evicting_every_cache_keeps_the_tell_stream(monkeypatch):
 
 
 def test_fixpoint_stability_tell_stream_is_pinned(monkeypatch):
-    assert told_stream_digest(monkeypatch, check_fixpoint_stability) == (
+    assert told_stream_digest(monkeypatch, check_fixpoint_stability, STABILITY_DEPTH) == (
         "700b6eca4f1e1cc842bbe6ce11db09e087942290651be6c2e9e335c1c5161cf9"
     )
 
@@ -307,8 +325,9 @@ def test_the_checks_tell_by_the_rule_that_step_guards(monkeypatch):
     tells = grown = 0
     drawn = []
 
-    def drawing(pairs, rng, depth):
-        draw = _draw_tell(pairs, rng, depth)
+    def drawing(lists, rng):
+        pairs = drawing_pairs()
+        draw = _draw_tell(lists, rng)
         if draw is not None:
             drawn.append((draw, dict(pairs)))
         return draw
@@ -347,14 +366,50 @@ def test_ck_dynamics_counts_only_the_languages_it_draws_from(monkeypatch):
         listed.add(lang)
         return members(lang, depth)
 
-    def drawing(pairs, rng, depth):
-        drawn_from.update(itertools.chain.from_iterable(pairs.values()))
-        return _draw_tell(pairs, rng, depth)
+    def drawing(lists, rng):
+        drawn_from.update(itertools.chain.from_iterable(drawing_pairs().values()))
+        return _draw_tell(lists, rng)
 
     monkeypatch.setattr(checks, "members", listing)
     monkeypatch.setattr(checks, "_draw_tell", drawing)
     check_ck_dynamics(20, 42)
     assert listed == drawn_from
+
+
+def test_a_draw_reads_no_cache(monkeypatch):
+    # ck-dynamics lists each scenario's four start languages once, and after
+    # a tell that grew a language, the grown fact's pair, when a draw
+    # follows in the same trace; a draw itself asks no cache
+    calls = draws = followed = 0
+    grew = False
+
+    def listing(lang, depth):
+        nonlocal calls
+        calls += 1
+        return members(lang, depth)
+
+    def drawing(lists, rng):
+        nonlocal draws, followed, grew
+        draws += 1
+        followed += grew and sys._getframe(1).f_locals["step_index"] > 0
+        grew = False
+        return _draw_tell(lists, rng)
+
+    def telling(pair, sender, word, understanding):
+        nonlocal grew
+        after = _tell_fact(pair, sender, word, understanding)
+        grew = after is not pair
+        return after
+
+    monkeypatch.setattr(checks, "members", listing)
+    monkeypatch.setattr(checks, "_draw_tell", drawing)
+    monkeypatch.setattr(checks, "_tell_fact", telling)
+    report = check_ck_dynamics(100, 42)
+    assert report.status == "pass" and followed > 0
+    assert followed <= calls - 4 * report.scenarios <= 2 * followed
+    # a draw used to ask the cache four times, once per (sender, fact)
+    # block: 61,612 calls for these 15,403 draws
+    assert draws == 15_403 and calls < 2 * draws
 
 
 def replay(traces, seed, k=None, mutate=None):
