@@ -1,9 +1,11 @@
 """Depth-bounded brute-force closure over explicit (fact, suffix) sets.
 
 Deliberately free of the acceptor machinery: agreement between this module
-and the symbolic engine is evidence, not circularity. The bounded result is
-exact up to the bound because no rule ever shortens a suffix, so a missing
-short sentence can never appear later via longer ones.
+and the symbolic engine is evidence, not circularity. The closure is built
+one suffix length at a time: every rule takes a sentence of length n to
+one of length n or n + 1, never shorter, so once the rules at length n
+have run, no longer sentence can add one of length n, and one pass per
+length is exact up to the bound.
 """
 
 from __future__ import annotations
@@ -34,33 +36,31 @@ class BoundedKnowledge:
 
 def bounded_closure(scenario: Scenario, bound: int
                     ) -> tuple[BoundedKnowledge, BoundedKnowledge]:
-    """Exhaustively apply the rules, keeping suffixes at or below the bound.
+    """Apply the rules one suffix length at a time, up to the bound.
 
     Once agent j holds f.w, j knows it knows it and can tell it: j holds
     f.w.j, the other agent gains f.w.j, and with understanding also the
-    bare f.w. The universe of bounded sentences is finite and the held sets
-    only grow, so the worklist empties at the least fixpoint.
+    bare f.w. The relay keeps the length, and relaying a relayed sentence
+    only returns it, so at length 0 one union closes it. A told sentence
+    reaches both sides, so from length 1 on they hold one shared level and
+    the relay adds nothing there; each level is built from the one before
+    it alone. No rule shortens a suffix, so one pass per length reaches
+    the least fixpoint.
     """
     _require_count("bound", bound, 0, MAX_ORACLE_DEPTH)
-    understanding = scenario.model is ModelKind.UNDERSTANDING
-    held: dict[int, set[tuple[str, Word]]] = {1: set(), 2: set()}
-    todo = [(1, (f, ())) for f in scenario.side_a]
-    todo += [(2, (f, ())) for f in scenario.side_b]
-    while todo:
-        agent, pair = todo.pop()
-        if pair in held[agent]:
-            continue
-        held[agent].add(pair)
-        fact, word = pair
-        if len(word) < bound:
-            told = (fact, word + (agent,))
-            todo += [(agent, told), (3 - agent, told)]
-        if understanding:
-            todo.append((3 - agent, pair))
-    return (
-        BoundedKnowledge(1, bound, frozenset(held[1])),
-        BoundedKnowledge(2, bound, frozenset(held[2])),
-    )
+    own_a = {(fact, ()) for fact in scenario.side_a}
+    own_b = {(fact, ()) for fact in scenario.side_b}
+    if scenario.model is ModelKind.UNDERSTANDING:
+        own_a = own_b = own_a | own_b
+    one, two, told = own_a, own_b, set()
+    for _ in range(bound):
+        one = two = {(fact, word + (agent,))
+                     for agent, level in ((1, one), (2, two))
+                     for fact, word in level}
+        told |= one
+    pairs_a = frozenset().union(own_a, told)
+    pairs_b = pairs_a if own_b is own_a else frozenset().union(own_b, told)
+    return BoundedKnowledge(1, bound, pairs_a), BoundedKnowledge(2, bound, pairs_b)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import re
 import pytest
 
 from knowtell import automata, langs, oracle
+from knowtell.checks import scenario_grid
 from knowtell.dynamics import saturate
 from knowtell.oracle import (
     MAX_ORACLE_DEPTH,
@@ -10,12 +11,45 @@ from knowtell.oracle import (
     bounded_closure,
     compare_symbolic,
 )
-from knowtell.sentences import append_knows
-from knowtell.states import Scenario
+from knowtell.sentences import Word, append_knows
+from knowtell.states import ModelKind, Scenario
 
 
 def texts(bounded: BoundedKnowledge) -> set[str]:
     return {str(s) for s in bounded.sentences}
+
+
+def worklist_closure(scenario: Scenario, bound: int
+                     ) -> tuple[BoundedKnowledge, BoundedKnowledge]:
+    """The reference: apply the rules one sentence at a time until the
+    worklist empties, with no argument about the order of lengths."""
+    understanding = scenario.model is ModelKind.UNDERSTANDING
+    held: dict[int, set[tuple[str, Word]]] = {1: set(), 2: set()}
+    todo = [(1, (f, ())) for f in scenario.side_a]
+    todo += [(2, (f, ())) for f in scenario.side_b]
+    while todo:
+        agent, pair = todo.pop()
+        if pair in held[agent]:
+            continue
+        held[agent].add(pair)
+        fact, word = pair
+        if len(word) < bound:
+            told = (fact, word + (agent,))
+            todo += [(agent, told), (3 - agent, told)]
+        if understanding:
+            todo.append((3 - agent, pair))
+    return (
+        BoundedKnowledge(1, bound, frozenset(held[1])),
+        BoundedKnowledge(2, bound, frozenset(held[2])),
+    )
+
+
+@pytest.mark.parametrize("model", list(ModelKind), ids=lambda m: m.value)
+def test_closure_equals_the_worklist_over_the_grid(model):
+    for scenario in scenario_grid(3, model):
+        for bound in range(9):
+            assert bounded_closure(scenario, bound) == \
+                worklist_closure(scenario, bound), (scenario.describe(), bound)
 
 
 def test_bound_zero(worked_example):
@@ -144,6 +178,7 @@ def test_closure_uses_no_automata(worked_example, monkeypatch):
         raise AssertionError("the oracle touched the symbolic engine")
 
     for module, name in ((langs, "union"), (langs, "concat"), (langs, "star"),
+                         (langs, "members"),
                          (automata, "product_dfa"), (automata, "determinize"),
                          (oracle, "enumerate_words"), (oracle, "saturate")):
         monkeypatch.setattr(module, name, forbidden)
