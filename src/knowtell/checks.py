@@ -24,7 +24,6 @@ from .states import (
     common_knowledge,
     initial_state,
     known_facts,
-    language_equal,
     project_success,
 )
 
@@ -91,14 +90,16 @@ def scenario_grid(max_facts: int, model: ModelKind) -> Iterator[Scenario]:
             for side_a in subsets_of(facts) for side_b in subsets_of(facts))
 
 
-def _inequality_witness(state_a: KnowledgeState, state_b: KnowledgeState) -> str:
+def _inequality_witness(state_a: KnowledgeState, state_b: KnowledgeState) -> str | None:
+    """The first fact's shortest sentence in one side's language only, or
+    None when the languages are equal."""
     for fact in state_a.langs:
         if state_a.langs[fact] != state_b.langs[fact]:
             word = distinguishing_word(state_a.langs[fact], state_b.langs[fact])
             sentence = format_sentence(Sentence(fact, word))
             side = 1 if state_a.langs[fact].contains(word) else 2
             return f"'{sentence}' is in side {side}'s language only"
-    return "languages differ on no fact"
+    return None
 
 
 def check_language_equivalence_props(max_facts: int = CheckConfig.max_facts) -> CheckReport:
@@ -110,17 +111,11 @@ def check_language_equivalence_props(max_facts: int = CheckConfig.max_facts) -> 
     for scenario in scenario_grid(max_facts, ModelKind.COMMUNICATION):
         count += 1
         result = saturate(scenario)
-        equal = language_equal(result.state_a, result.state_b)
-        expected = scenario.side_a == scenario.side_b
-        if equal and not expected:
+        witness = _inequality_witness(result.state_a, result.state_b)
+        if (witness is None) != (scenario.side_a == scenario.side_b):
             violations.append(Violation(
                 scenario.describe(),
-                "languages equal although the sides' fact sets differ",
-            ))
-        elif expected and not equal:
-            violations.append(Violation(
-                scenario.describe(),
-                _inequality_witness(result.state_a, result.state_b),
+                witness or "languages equal although the sides' fact sets differ",
             ))
     return _finish("language-equivalence", count, violations, started)
 
@@ -256,11 +251,9 @@ def check_success_theorems(max_facts: int = CheckConfig.max_facts, *,
         scenario = Scenario.make(facts, facts, facts, ModelKind.COMMUNICATION)
         count += 1
         result = saturate(scenario)
-        if not language_equal(result.state_a, result.state_b):
-            violations.append(Violation(
-                scenario.describe(),
-                _inequality_witness(result.state_a, result.state_b),
-            ))
+        witness = _inequality_witness(result.state_a, result.state_b)
+        if witness:
+            violations.append(Violation(scenario.describe(), witness))
         elif not project_success(result.state_a, result.state_b, scenario):
             violations.append(Violation(scenario.describe(), "success denied"))
 
@@ -269,12 +262,10 @@ def check_success_theorems(max_facts: int = CheckConfig.max_facts, *,
         result = saturate(dataclasses.replace(scenario, model=ModelKind.COMMUNICATION)
                           if disable_understanding else scenario)
         covered = scenario.side_a | scenario.side_b >= set(scenario.facts)
+        witness = _inequality_witness(result.state_a, result.state_b)
         if covered:
-            if not language_equal(result.state_a, result.state_b):
-                violations.append(Violation(
-                    scenario.describe(),
-                    _inequality_witness(result.state_a, result.state_b),
-                ))
+            if witness:
+                violations.append(Violation(scenario.describe(), witness))
                 continue
             missing_ck = [
                 f for f in scenario.facts
@@ -291,9 +282,8 @@ def check_success_theorems(max_facts: int = CheckConfig.max_facts, *,
                     scenario.describe(), "coverage holds but success denied"
                 ))
         else:
-            if (language_equal(result.state_a, result.state_b)
-                    and not project_success(result.state_a, result.state_b,
-                                            scenario)):
+            if witness is None and not project_success(result.state_a,
+                                                       result.state_b, scenario):
                 bare = ",".join(sorted(known_facts(result.state_a)))
                 notes.append(
                     f"{scenario.describe()}: languages equal but side 1 knows "

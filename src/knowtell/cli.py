@@ -15,7 +15,6 @@ from typing import Sequence
 
 from .checks import FACT_POOL, CheckConfig, CheckReport, run_all_checks
 from .dynamics import (
-    SaturationResult,
     TellError,
     TellEvent,
     TraceError,
@@ -183,32 +182,30 @@ def _cmd_check(args) -> int:
     return EXIT_PASS if all(r.status == "pass" for r in reports) else EXIT_VIOLATIONS
 
 
-def _selected(result: SaturationResult, scenario: Scenario, args):
+def _selected(scenario: Scenario, args) -> list[tuple[int, str]]:
     sides = (args.side,) if args.side else (1, 2)
     facts = (args.fact,) if args.fact else scenario.facts
-    states = {1: result.state_a, 2: result.state_b}
-    for side in sides:
-        for fact in facts:
-            yield side, fact, states[side].langs[fact], result.regexes[side][fact]
+    return [(side, fact) for side in sides for fact in facts]
 
 
 def _cmd_saturate(args) -> int:
     scenario = load_scenario(args.scenario)
     if args.fact is not None and args.fact not in scenario.facts:
         raise InputError(f"fact {args.fact!r} is not part of the scenario")
+    chosen = _selected(scenario, args)
+    if args.emit_dot and len(chosen) != 1:
+        raise InputError(
+            "--emit-dot needs exactly one acceptor; pass --fact and --side"
+        )
     result = saturate(scenario)
     for line in _summary_lines(scenario, result.state_a, result.state_b):
         print(line)
     if args.emit_regex:
-        for side, fact, _, text in _selected(result, scenario, args):
-            print(f"side {side} fact {fact}: {text}")
+        for side, fact in chosen:
+            print(f"side {side} fact {fact}: {result.regexes[side][fact]}")
     if args.emit_dot:
-        chosen = list(_selected(result, scenario, args))
-        if len(chosen) != 1:
-            raise InputError(
-                "--emit-dot needs exactly one acceptor; pass --fact and --side"
-            )
-        side, fact, lang, _ = chosen[0]
+        (side, fact), = chosen
+        lang = (result.state_a, result.state_b)[side - 1].langs[fact]
         with open(args.emit_dot, "w", encoding="utf-8") as handle:
             handle.write(to_dot(lang, name=f"side{side}_{fact}"))
         print(f"wrote {args.emit_dot}")

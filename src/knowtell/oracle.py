@@ -1,16 +1,17 @@
-"""Depth-bounded brute-force closure over explicit (fact, suffix) sets.
+"""Depth-bounded brute-force closure over explicit per-fact suffix sets.
 
 Deliberately free of the acceptor machinery: agreement between this module
-and the symbolic engine is evidence, not circularity. The closure is built
-one suffix length at a time: every rule takes a sentence of length n to
-one of length n or n + 1, never shorter, so once the rules at length n
-have run, no longer sentence can add one of length n, and one pass per
-length is exact up to the bound.
+and the symbolic engine is evidence, not circularity. No rule mixes facts,
+so each fact is closed on its own, one suffix length at a time: every rule
+takes a sentence of length n to one of length n or n + 1, never shorter,
+so once the rules at length n have run, no longer sentence can add one of
+length n, and one pass per length is exact up to the bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 from .dynamics import saturate
 from .langs import MAX_ORACLE_DEPTH, _require_count, enumerate_words
@@ -24,14 +25,12 @@ class BoundedKnowledge:
 
     agent: int
     bound: int
-    pairs: frozenset[tuple[str, Word]]  # (fact, suffix)
+    suffixes: Mapping[str, frozenset[Word]]  # every scenario fact, empty if not held
 
     @property
     def sentences(self) -> frozenset[Sentence]:
-        return frozenset(Sentence(fact, word) for fact, word in self.pairs)
-
-    def suffixes(self, fact: str) -> frozenset[Word]:
-        return frozenset(word for f, word in self.pairs if f == fact)
+        return frozenset(Sentence(fact, word)
+                         for fact, words in self.suffixes.items() for word in words)
 
 
 def bounded_closure(scenario: Scenario, bound: int
@@ -48,19 +47,20 @@ def bounded_closure(scenario: Scenario, bound: int
     the least fixpoint.
     """
     _require_count("bound", bound, 0, MAX_ORACLE_DEPTH)
-    own_a = {(fact, ()) for fact in scenario.side_a}
-    own_b = {(fact, ()) for fact in scenario.side_b}
-    if scenario.model is ModelKind.UNDERSTANDING:
-        own_a = own_b = own_a | own_b
-    one, two, told = own_a, own_b, set()
-    for _ in range(bound):
-        one = two = {(fact, word + (agent,))
-                     for agent, level in ((1, one), (2, two))
-                     for fact, word in level}
-        told |= one
-    pairs_a = frozenset().union(own_a, told)
-    pairs_b = pairs_a if own_b is own_a else frozenset().union(own_b, told)
-    return BoundedKnowledge(1, bound, pairs_a), BoundedKnowledge(2, bound, pairs_b)
+    held_a, held_b = {}, {}
+    for fact in scenario.facts:
+        own_a = frozenset({()} if fact in scenario.side_a else ())
+        own_b = frozenset({()} if fact in scenario.side_b else ())
+        if scenario.model is ModelKind.UNDERSTANDING:
+            own_a = own_b = own_a | own_b
+        one, two, told = own_a, own_b, set()
+        for _ in range(bound):
+            one = two = {word + (agent,)
+                         for agent, level in ((1, one), (2, two)) for word in level}
+            told |= one
+        held_a[fact] = own_a.union(told)
+        held_b[fact] = held_a[fact] if own_b == own_a else own_b.union(told)
+    return BoundedKnowledge(1, bound, held_a), BoundedKnowledge(2, bound, held_b)
 
 
 @dataclass(frozen=True)
@@ -91,12 +91,9 @@ def compare_symbolic(scenario: Scenario, depth: int) -> OracleReport:
     result = saturate(scenario)
     mismatches = []
     for state, bounded in zip((result.state_a, result.state_b), closed):
-        by_fact = {fact: set() for fact in scenario.facts}  # one pass, not one per fact
-        for fact, word in bounded.pairs:
-            by_fact[fact].add(word)
         for fact in scenario.facts:
             symbolic = enumerate_words(state.langs[fact], depth)
-            brute = by_fact[fact]
+            brute = bounded.suffixes[fact]
             if symbolic != brute:
                 def render(words):
                     ordered = sorted(words, key=lambda w: (len(w), w))

@@ -94,6 +94,26 @@ def test_language_equivalence_smallest_grid():
     assert report.scenarios == 4
 
 
+def test_language_equivalence_reports_both_witnesses(monkeypatch):
+    # a broken engine: sides that differ saturate as if equal, and equal
+    # sides as if side 2 started empty
+    def saturate_mixed_up(scenario):
+        side_b = frozenset() if scenario.side_a == scenario.side_b else scenario.side_a
+        return saturate(dataclasses.replace(scenario, side_b=side_b))
+
+    monkeypatch.setattr(checks, "saturate", saturate_mixed_up)
+    report = check_language_equivalence_props(1)
+    assert report.status == "fail"
+    assert [(v.scenario, v.witness) for v in report.violations] == [
+        ("facts={a} side1={} side2={a} model=communication",
+         "languages equal although the sides' fact sets differ"),
+        ("facts={a} side1={a} side2={} model=communication",
+         "languages equal although the sides' fact sets differ"),
+        ("facts={a} side1={a} side2={a} model=communication",
+         "'a' is in side 1's language only"),
+    ]
+
+
 def test_ck_dynamics_passes_and_is_seeded():
     report = check_ck_dynamics(traces=20, seed=42)
     assert report.status == "pass"

@@ -233,10 +233,14 @@ def test_saturate_dot_export(capsys, scenario_path, tmp_path):
 
 
 def test_saturate_dot_needs_single_selection(capsys, scenario_path, tmp_path):
-    code = main(["saturate", scenario_path, "--emit-dot",
-                 str(tmp_path / "x.dot")])
-    assert code == 3
-    assert "exactly one acceptor" in capsys.readouterr().err
+    for selection in ([], ["--side", "1"], ["--fact", "a"]):
+        code = main(["saturate", scenario_path, "--emit-dot",
+                     str(tmp_path / "x.dot"), *selection])
+        assert code == 3
+        out, err = capsys.readouterr()
+        assert out == ""  # refused before the summary is printed
+        assert "exactly one acceptor" in err
+    assert not (tmp_path / "x.dot").exists()
 
 
 def test_saturate_unknown_fact(capsys, scenario_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import pytest
@@ -38,9 +39,12 @@ def worklist_closure(scenario: Scenario, bound: int
             todo += [(agent, told), (3 - agent, told)]
         if understanding:
             todo.append((3 - agent, pair))
-    return (
-        BoundedKnowledge(1, bound, frozenset(held[1])),
-        BoundedKnowledge(2, bound, frozenset(held[2])),
+    return tuple(
+        BoundedKnowledge(agent, bound, {
+            fact: frozenset(word for f, word in held[agent] if f == fact)
+            for fact in scenario.facts
+        })
+        for agent in (1, 2)
     )
 
 
@@ -105,8 +109,15 @@ def test_monotone_in_bound(worked_example, model):
 
 def test_suffixes_view(worked_example):
     side_a, _ = bounded_closure(worked_example, 2)
-    assert side_a.suffixes("a") == {(), (1,), (1, 1), (1, 2)}
-    assert side_a.suffixes("c") == frozenset()
+    assert side_a.suffixes["a"] == {(), (1,), (1, 1), (1, 2)}
+    assert side_a.suffixes["c"] == frozenset()
+
+
+@pytest.mark.parametrize("model", list(ModelKind), ids=lambda m: m.value)
+def test_every_scenario_fact_has_suffixes(model):
+    for scenario in scenario_grid(3, model):
+        for bounded in bounded_closure(scenario, 3):
+            assert tuple(bounded.suffixes) == scenario.facts, scenario.describe()
 
 
 def test_compare_symbolic_worked_example(worked_example):
@@ -148,6 +159,22 @@ def test_compare_symbolic_reports_mismatches(worked_example, monkeypatch):
     mismatch = next(m for m in report.mismatches if (m.agent, m.fact) == (1, "b"))
     assert "b" in mismatch.only_symbolic
     assert mismatch.only_bounded == ()
+
+
+def test_compare_symbolic_reports_side_two_under_understanding(monkeypatch):
+    # under understanding both sides' closures are equal, so side 2 is
+    # compared with the same suffix sets as side 1; it must still be checked
+    scenario = Scenario.make(["a", "b"], ["a"], [], "understanding")
+    side_a, side_b = bounded_closure(scenario, 3)
+    assert side_a.suffixes == side_b.suffixes
+    right = saturate(scenario)
+    wrong = saturate(Scenario.make(["a", "b"], [], [], "understanding"))
+    monkeypatch.setattr(oracle, "saturate", lambda s, **kw: dataclasses.replace(
+        right, state_b=wrong.state_b))
+    report = compare_symbolic(scenario, 3)
+    assert [(m.agent, m.fact, m.only_symbolic) for m in report.mismatches] == [
+        (2, "a", ())]
+    assert report.mismatches[0].only_bounded[:3] == ("a", "a.1", "a.2")
 
 
 def test_bad_bound_rejected(worked_example):
