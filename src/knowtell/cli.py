@@ -9,6 +9,7 @@ trace, bad query).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from typing import Sequence
@@ -197,17 +198,20 @@ def _cmd_saturate(args) -> int:
         raise InputError(
             "--emit-dot needs exactly one acceptor; pass --fact and --side"
         )
-    result = saturate(scenario)
-    for line in _summary_lines(scenario, result.state_a, result.state_b):
-        print(line)
-    if args.emit_regex:
-        for side, fact in chosen:
-            print(f"side {side} fact {fact}: {result.regexes[side][fact]}")
+    # opened before any output, so an unwritable path prints nothing
+    with (open(args.emit_dot, "w", encoding="utf-8") if args.emit_dot
+          else contextlib.nullcontext()) as dot_file:
+        result = saturate(scenario)
+        for line in _summary_lines(scenario, result.state_a, result.state_b):
+            print(line)
+        if args.emit_regex:
+            for side, fact in chosen:
+                print(f"side {side} fact {fact}: {result.regexes[side][fact]}")
+        if dot_file is not None:
+            (side, fact), = chosen
+            lang = (result.state_a, result.state_b)[side - 1].langs[fact]
+            dot_file.write(to_dot(lang, name=f"side{side}_{fact}"))
     if args.emit_dot:
-        (side, fact), = chosen
-        lang = (result.state_a, result.state_b)[side - 1].langs[fact]
-        with open(args.emit_dot, "w", encoding="utf-8") as handle:
-            handle.write(to_dot(lang, name=f"side{side}_{fact}"))
         print(f"wrote {args.emit_dot}")
     return EXIT_PASS
 

@@ -72,17 +72,22 @@ class Sentence:
 def parse_sentence(text: str) -> Sentence:
     """Parse ``fact(.agent)*`` text such as ``a.2.1``.
 
-    Well-formed text parses in one anchored match. Other text is walked
-    segment by segment to the first error, which names the offending
-    position: malformed fact names, empty segments, agent marks outside
-    {1, 2}, and trailing dots all reject.
+    Well-formed text parses in one anchored match, which proves the fact
+    and every mark, so the sentence is built without checking them again.
+    Other text is walked segment by segment to the first error, which
+    names the offending position: malformed fact names, empty segments,
+    agent marks outside {1, 2}, and trailing dots all reject.
     """
     if not isinstance(text, str):
         raise SentenceError(f"expected sentence text, got {type(text).__name__}")
     match = _SENTENCE_RE.fullmatch(text)
     if match:
         fact, marks = match.groups()
-        return Sentence(fact, tuple(marks.encode().translate(_MARKS, b".")))
+        sentence = object.__new__(Sentence)
+        object.__setattr__(sentence, "fact", fact)
+        object.__setattr__(sentence, "suffix",
+                           tuple(marks.encode().translate(_MARKS, b".")))
+        return sentence
     if not text:
         raise SentenceError("empty sentence", 0)
     segments = text.split(".")

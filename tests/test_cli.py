@@ -241,6 +241,13 @@ def test_saturate_dot_needs_single_selection(capsys, scenario_path, tmp_path):
         assert out == ""  # refused before the summary is printed
         assert "exactly one acceptor" in err
     assert not (tmp_path / "x.dot").exists()
+    # so is a single selection whose file cannot be written
+    code = main(["saturate", scenario_path, "--emit-dot",
+                 str(tmp_path / "no" / "x.dot"), "--fact", "a", "--side", "1"])
+    assert code == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
 
 
 def test_saturate_unknown_fact(capsys, scenario_path):

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 import re
 from unittest import mock
@@ -100,6 +103,31 @@ def test_parse_builds_what_the_checked_constructor_builds(fact, suffix):
     assert hash(parsed) == hash(built) and repr(parsed) == repr(built)
     assert type(parsed.fact) is str and type(parsed.suffix) is tuple
     assert all(type(mark) is int for mark in parsed.suffix)
+    assert pickle.loads(pickle.dumps(parsed)) == built
+    assert copy.deepcopy(parsed) == built
+    # a parsed sentence changed afterwards is checked like a built one
+    with pytest.raises(SentenceError):
+        dataclasses.replace(parsed, suffix=(3,))
+    with pytest.raises(SentenceError):
+        dataclasses.replace(parsed, fact="A")
+
+
+def test_a_parse_does_not_check_what_its_match_proved(monkeypatch):
+    calls = []
+
+    def counted(check):
+        def wrapper(value):
+            calls.append(value)
+            return check(value)
+        return wrapper
+
+    for name in ("check_agent", "check_fact"):
+        monkeypatch.setattr(sentences, name, counted(getattr(sentences, name)))
+    for text in ("a", "a.1", "a.2.1", "fact_42.2.2.1", "b" + ".1.2" * 6):
+        parse_sentence(text)
+    assert calls == []
+    Sentence("a", (1, 2))
+    assert calls == ["a", 1, 2]
 
 
 def walk_outcome(text):
