@@ -11,7 +11,7 @@ import itertools
 import random
 import time
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 from .dynamics import _tell_fact, saturate
 from .langs import ALL_WORDS, Lang, _require_count, cone_word, distinguishing_word, members
@@ -120,25 +120,29 @@ def check_language_equivalence_props(max_facts: int = CheckConfig.max_facts) -> 
     return _finish("language-equivalence", count, violations, started)
 
 
-def _draw_tell(lists: Mapping[str, tuple[Sequence[Word], Sequence[Word]]],
-               rng: random.Random) -> tuple[int, str, Word] | None:
-    """A uniformly random truthful tell (sender, fact, word), given each
-    fact's pair of ranked member lists (side 1's words, side 2's): one
-    rng.randrange over the candidates ranked by sender, fact in the order
-    of lists, then (length, word), which draws exactly as rng.choice over
-    that ranked list would. Each list is the sender's `members` list, so
+def _draw_tell(blocks: Sequence[Sequence[Word]], total: int,
+               rng: random.Random) -> tuple[int, Word] | None:
+    """A uniformly random truthful tell, given its candidate blocks in draw
+    order (each sender's ranked member list of each fact, side 1's blocks
+    first) and total, the sum of their lengths: (the block it lands in, the
+    word), or None when total is 0. One rng.randrange(total) indexes the
+    blocks one after another, which draws exactly as rng.choice over their
+    concatenation would. Each block is the sender's `members` list, so
     `_tell_fact` may take the word as is."""
-    total = 0
-    for one, two in lists.values():
-        total += len(one) + len(two)
     if not total:
         return None
     index = rng.randrange(total)
-    for side in (0, 1):
-        for fact, pair in lists.items():
-            if index < len(pair[side]):
-                return side + 1, fact, pair[side][index]
-            index -= len(pair[side])
+    for block, words in enumerate(blocks):
+        if index < len(words):
+            return block, words[index]
+        index -= len(words)
+
+
+def _draw_order(facts: Sequence[str]) -> tuple[tuple[int, str, int], ...]:
+    """Per block of `_draw_tell`, in draw order: its sender, its fact, and
+    the block of the same fact on the other side."""
+    return tuple((side + 1, fact, (1 - side) * len(facts) + at)
+                 for side in (0, 1) for at, fact in enumerate(facts))
 
 
 def check_ck_dynamics(traces: int = CheckConfig.traces,
@@ -156,9 +160,12 @@ def check_ck_dynamics(traces: int = CheckConfig.traces,
     No rule mixes facts: a trace is a language pair per fact plus its ck
     set, and a tell is `dynamics._tell_fact` on one pair. A bare fact is
     common knowledge when both its languages are `ALL_WORDS`, the one
-    language whose root is the universal state. The loop keeps each fact's
-    member lists, listed once per scenario, so a draw asks no cache; a
-    pair that a tell grew is listed again when the next draw needs it.
+    language whose root is the universal state. Each trace keeps its
+    candidate blocks in draw order with their running total, started from
+    the scenario's member lists, so a draw asks no cache. A tell grows the
+    receiver's language only; its block is listed again when the next
+    draw needs it, and the sender's block at once should a broken rule
+    change the sender's language too.
     """
     _require_count("traces", traces, 1)
     started = time.perf_counter()
@@ -166,6 +173,7 @@ def check_ck_dynamics(traces: int = CheckConfig.traces,
     violations: list[Violation] = []
     count = 0
     facts = FACT_POOL[:2]
+    order = _draw_order(facts)
 
     def report(trace_index: int, step_index: int, text: str) -> None:
         violations.append(Violation(
@@ -191,45 +199,56 @@ def check_ck_dynamics(traces: int = CheckConfig.traces,
             scanned: set[Lang] = set()
             states = (initial_state(1, scenario), initial_state(2, scenario))
             start = {f: (states[0].langs[f], states[1].langs[f]) for f in facts}
-            for side, fact in itertools.product((0, 1), facts):
-                if start[fact][side] not in scanned:
-                    scan(start[fact][side], side + 1, fact, 0, 0)
+            for sender, fact, _ in order:
+                if start[fact][sender - 1] not in scanned:
+                    scan(start[fact][sender - 1], sender, fact, 0, 0)
             start_ck = frozenset(f for f in facts if start[f] == (ALL_WORDS, ALL_WORDS))
-            start_lists = {f: tuple(members(lang, SAMPLE_DEPTH) for lang in pair)
-                           for f, pair in start.items()}
+            start_blocks = [members(start[fact][sender - 1], SAMPLE_DEPTH)
+                            for sender, fact, _ in order]
+            start_total = sum(map(len, start_blocks))
             for trace_index in range(traces):
                 length = rng.randint(0, TRACE_LENGTH)
-                pairs, lists, grown = dict(start), dict(start_lists), None
-                ck_set, previous = start_ck, frozenset()
+                pairs, blocks, total = dict(start), start_blocks[:], start_total
+                ck_set, lost, stale, grown = start_ck, None, None, None
                 for step_index in range(length + 1):
                     if ck_set:
                         report(trace_index, step_index,
                                f"common knowledge of "
                                f"{{{','.join(sorted(ck_set))}}} on a finite trace")
-                    if not previous <= ck_set:
-                        report(trace_index, step_index,
-                               f"common knowledge lost: "
-                               f"{{{','.join(sorted(previous - ck_set))}}}")
-                    previous = ck_set
+                    if lost:
+                        report(trace_index, step_index, f"common knowledge lost: {{{lost}}}")
+                        lost = None
                     if step_index == length:
                         break
-                    if grown:  # the last tell grew this fact's pair
-                        one, two = pairs[grown]
-                        lists[grown] = members(one, SAMPLE_DEPTH), members(two, SAMPLE_DEPTH)
-                    draw = _draw_tell(lists, rng)
+                    if stale is not None:  # the last tell grew this block's language
+                        words = members(grown, SAMPLE_DEPTH)
+                        total += len(words) - len(blocks[stale])
+                        blocks[stale] = words
+                        stale = None
+                    draw = _draw_tell(blocks, total, rng)
                     if draw is None:
                         break
-                    sender, fact, word = draw
+                    block, word = draw
+                    sender, fact, other = order[block]
                     before = pairs[fact]
                     after = pairs[fact] = _tell_fact(before, sender, word, understanding)
-                    grown = after is not before and fact
-                    if not grown:  # nothing changed, and nothing to scan
+                    if after is before:  # nothing changed, and nothing to scan
                         continue
-                    for side in (0, 1):
-                        if after[side] not in scanned:
-                            scan(after[side], side + 1, fact, trace_index, step_index + 1)
-                    if (after == (ALL_WORDS, ALL_WORDS)) != (fact in ck_set):
+                    stale, grown = other, after[2 - sender]
+                    if after[sender - 1] is before[sender - 1]:
+                        if grown not in scanned:
+                            scan(grown, 3 - sender, fact, trace_index, step_index + 1)
+                    else:  # only a broken rule changes the sender's language
+                        words = members(after[sender - 1], SAMPLE_DEPTH)
+                        total += len(words) - len(blocks[block])
+                        blocks[block] = words
+                        for side in (0, 1):
+                            if after[side] not in scanned:
+                                scan(after[side], side + 1, fact, trace_index, step_index + 1)
+                    made = after == (ALL_WORDS, ALL_WORDS)
+                    if made != (fact in ck_set):
                         ck_set ^= {fact}
+                        lost = None if made else fact
     return _finish("ck-dynamics", count, violations, started)
 
 
@@ -319,14 +338,17 @@ def check_fixpoint_stability() -> CheckReport:
         result = saturate(scenario)
         pairs = {f: (result.state_a.langs[f], result.state_b.langs[f])
                  for f in facts}
-        lists = {f: tuple(members(lang, STABILITY_DEPTH) for lang in pair)
-                 for f, pair in pairs.items()}
+        order = _draw_order(facts)
+        blocks = [members(pairs[fact][sender - 1], STABILITY_DEPTH)
+                  for sender, fact, _ in order]
+        total = sum(map(len, blocks))
         understanding = scenario.model is ModelKind.UNDERSTANDING
         for _ in range(STABILITY_TELLS):
-            draw = _draw_tell(lists, rng)
+            draw = _draw_tell(blocks, total, rng)
             if draw is None:
                 break
-            sender, fact, word = draw
+            block, word = draw
+            sender, fact, _ = order[block]
             # no rule mixes facts: only the told fact's languages can grow
             if _tell_fact(pairs[fact], sender, word, understanding) is not pairs[fact]:
                 violations.append(Violation(

@@ -40,10 +40,10 @@ def pairs_of(state_a, state_b, facts):
     return {f: (state_a.langs[f], state_b.langs[f]) for f in facts}
 
 
-def lists_of(pairs, depth):
-    """Per fact, side 1's and side 2's member lists up to depth: what the
-    checks draw from."""
-    return {f: tuple(members(lang, depth) for lang in pair) for f, pair in pairs.items()}
+def blocks_of(pairs, depth):
+    """The member lists up to depth that the checks draw from, in draw
+    order: side 1's list of each fact, then side 2's."""
+    return [members(pair[side], depth) for side in (0, 1) for pair in pairs.values()]
 
 
 def drawing_pairs():
@@ -53,13 +53,22 @@ def drawing_pairs():
     return sys._getframe(2).f_locals["pairs"]
 
 
+def told(pairs, draw):
+    """The (sender, fact, word) that a draw over blocks_of(pairs) stands for."""
+    block, word = draw
+    side, at = divmod(block, len(pairs))
+    return side + 1, list(pairs)[at], word
+
+
 def sample_tell(state_a, state_b, facts, rng, depth):
     """One draw, as the checks make it, as the TellEvent it stands for; None
     when no tell is possible."""
-    draw = _draw_tell(lists_of(pairs_of(state_a, state_b, facts), depth), rng)
+    pairs = pairs_of(state_a, state_b, facts)
+    blocks = blocks_of(pairs, depth)
+    draw = _draw_tell(blocks, sum(map(len, blocks)), rng)
     if draw is None:
         return None
-    sender, fact, word = draw
+    sender, fact, word = told(pairs, draw)
     return TellEvent(sender, 3 - sender, Sentence(fact, word))
 
 
@@ -282,16 +291,19 @@ def told_stream_digest(monkeypatch, run, depth):
     """SHA-256 over every (sender, fact, suffix, model) that run tells
     through the check suite's rule: each draw, with the model of the rule
     call that follows it on the drawn fact's pair. Each draw must be handed
-    the member lists up to depth of the pairs the check holds."""
+    the member lists up to depth of the pairs the check holds, and the
+    total of their lengths."""
     digest = hashlib.sha256()
     drawn = []
 
-    def drawing(lists, rng):
+    def drawing(blocks, total, rng):
         pairs = drawing_pairs()
-        assert lists == lists_of(pairs, depth)
-        draw = _draw_tell(lists, rng)
+        assert blocks == blocks_of(pairs, depth)
+        assert total == sum(map(len, blocks))
+        draw = _draw_tell(blocks, total, rng)
         if draw is not None:
-            drawn.append((draw, pairs[draw[1]]))
+            tell = told(pairs, draw)
+            drawn.append((tell, pairs[tell[1]]))
         return draw
 
     def recording(pair, sender, word, understanding):
@@ -345,11 +357,11 @@ def test_the_checks_tell_by_the_rule_that_step_guards(monkeypatch):
     tells = grown = 0
     drawn = []
 
-    def drawing(lists, rng):
+    def drawing(blocks, total, rng):
         pairs = drawing_pairs()
-        draw = _draw_tell(lists, rng)
+        draw = _draw_tell(blocks, total, rng)
         if draw is not None:
-            drawn.append((draw, dict(pairs)))
+            drawn.append((told(pairs, draw), dict(pairs)))
         return draw
 
     def both(pair, sender, word, understanding):
@@ -386,9 +398,9 @@ def test_ck_dynamics_counts_only_the_languages_it_draws_from(monkeypatch):
         listed.add(lang)
         return members(lang, depth)
 
-    def drawing(lists, rng):
+    def drawing(blocks, total, rng):
         drawn_from.update(itertools.chain.from_iterable(drawing_pairs().values()))
-        return _draw_tell(lists, rng)
+        return _draw_tell(blocks, total, rng)
 
     monkeypatch.setattr(checks, "members", listing)
     monkeypatch.setattr(checks, "_draw_tell", drawing)
@@ -398,8 +410,8 @@ def test_ck_dynamics_counts_only_the_languages_it_draws_from(monkeypatch):
 
 def test_a_draw_reads_no_cache(monkeypatch):
     # ck-dynamics lists each scenario's four start languages once, and after
-    # a tell that grew a language, the grown fact's pair, when a draw
-    # follows in the same trace; a draw itself asks no cache
+    # a tell that grew a language, that one language, when a draw follows
+    # in the same trace; a draw itself asks no cache
     calls = draws = followed = 0
     grew = False
 
@@ -408,12 +420,12 @@ def test_a_draw_reads_no_cache(monkeypatch):
         calls += 1
         return members(lang, depth)
 
-    def drawing(lists, rng):
+    def drawing(blocks, total, rng):
         nonlocal draws, followed, grew
         draws += 1
         followed += grew and sys._getframe(1).f_locals["step_index"] > 0
         grew = False
-        return _draw_tell(lists, rng)
+        return _draw_tell(blocks, total, rng)
 
     def telling(pair, sender, word, understanding):
         nonlocal grew
@@ -426,7 +438,7 @@ def test_a_draw_reads_no_cache(monkeypatch):
     monkeypatch.setattr(checks, "_tell_fact", telling)
     report = check_ck_dynamics(100, 42)
     assert report.status == "pass" and followed > 0
-    assert followed <= calls - 4 * report.scenarios <= 2 * followed
+    assert calls - 4 * report.scenarios == followed
     # a draw used to ask the cache four times, once per (sender, fact)
     # block: 61,612 calls for these 15,403 draws
     assert draws == 15_403 and calls < 2 * draws
@@ -544,13 +556,83 @@ def test_ck_dynamics_sees_a_cone_behind_a_suffix(monkeypatch, k, suffix):
     )
 
 
+def made_then_taken_back(k):
+    """The tell rule, except that the k-th tell that grows a language makes
+    both sides of its fact universal, and the next tell of that fact hands
+    back the pair the rule had grown there: common knowledge made, then lost."""
+    grown, held = 0, None
+
+    def mutant(pair, sender, word, understanding):
+        nonlocal grown, held
+        if held is not None and pair == (ALL_WORDS, ALL_WORDS):
+            back, held = held, None
+            return back
+        after = _tell_fact(pair, sender, word, understanding)
+        if after is pair:
+            return after
+        grown += 1
+        if grown == k:
+            held = after
+            return ALL_WORDS, ALL_WORDS
+        return after
+
+    return mutant
+
+
+# every violation of check_ck_dynamics(20, 42) under each mutant, in report
+# order: the scans of a tell's pair (side 1 first), then the prefix's common
+# knowledge, then what it lost
+ONE_COMM = "facts={a,b} side1={} side2={a} model=communication"
+VIOLATION_PINS = {
+    "both-universal-1": (
+        lambda: mutant_tell(1, all_words_on_both_sides),
+        [(ONE_COMM, "trace 1 prefix 1: side 1's language for a holds every extension of 'a'")]
+        + [(ONE_COMM, f"trace 1 prefix {p}: common knowledge of {{a}} on a finite trace")
+           for p in range(1, 9)],
+    ),
+    "cone-602": (
+        lambda: mutant_tell(602, cone_at((2, 1, 2))),
+        [("facts={a,b} side1={b} side2={} model=communication",
+          f"trace 3 prefix {p}: side 1's language for b holds every extension of 'b.2.1.2'")
+         for p in (8, 9)],
+    ),
+    "made-then-lost-194": (
+        lambda: made_then_taken_back(194),
+        [("facts={a,b} side1={} side2={a,b} model=communication", text) for text in (
+            "trace 9 prefix 5: side 1's language for a holds every extension of 'a'",
+            "trace 9 prefix 5: common knowledge of {a} on a finite trace",
+            "trace 9 prefix 6: common knowledge of {a} on a finite trace",
+            "trace 9 prefix 7: common knowledge of {a} on a finite trace",
+            "trace 9 prefix 8: common knowledge lost: {a}",
+        )],
+    ),
+    # the sender is side 1 here, so its universal language is scanned first
+    "sender-made-then-lost-5": (
+        lambda: made_then_taken_back(5),
+        [(ONE_COMM, text) for text in (
+            "trace 1 prefix 7: side 1's language for a holds every extension of 'a'",
+            "trace 1 prefix 7: common knowledge of {a} on a finite trace",
+            "trace 1 prefix 8: common knowledge lost: {a}",
+        )],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", VIOLATION_PINS)
+def test_ck_dynamics_reports_every_violation_in_order(monkeypatch, name):
+    mutant, pinned = VIOLATION_PINS[name]
+    monkeypatch.setattr(checks, "_tell_fact", mutant())
+    report = check_ck_dynamics(20, 42)
+    assert [(v.scenario, v.witness) for v in report.violations] == pinned
+
+
 def walked_prefixes(traces, seed):
     """Run check_ck_dynamics(traces, seed) and read its walk at every prefix
-    it reaches, from the frame, where it takes the prefix's ck set over:
+    it reaches, from the frame, where it asks the prefix's ck set:
     (the report, [(scenario, trace, prefix, per-fact pairs, ck set)])."""
     lines, first = inspect.getsourcelines(check_ck_dynamics)
     at = first + next(i for i, text in enumerate(lines)
-                      if text.strip() == "previous = ck_set")
+                      if text.strip() == "if ck_set:")
     walked = []
 
     def reading(frame, event, arg):
