@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .dynamics import _tell_fact, saturate
-from .langs import ALL_WORDS, Lang, _require_count, cone_word, distinguishing_word, members
+from .langs import Lang, _require_count, cone_word, distinguishing_word, members
 from .oracle import compare_symbolic
 from .sentences import Sentence, Word, format_sentence
 from .states import (
@@ -147,23 +147,26 @@ def _draw_order(facts: Sequence[str]) -> tuple[tuple[int, str, int], ...]:
 
 def check_ck_dynamics(traces: int = CheckConfig.traces,
                       seed: int = CheckConfig.seed) -> CheckReport:
-    """Along random truthful traces, the set of facts that are common
-    knowledge stays empty at every prefix and never shrinks, in both models;
-    and no language either side reaches holds the whole cone of a sentence,
-    which rules out common knowledge of every sentence, not only bare facts.
-    The cone test is exact: a finite trace leaves each language an own-mark
-    chain plus finitely many w.T, and none of those holds a cone.
+    """Along random truthful traces, in both models, no language either side
+    reaches holds the whole cone of a sentence. Common knowledge of f.w
+    needs every chain of "knows" over it held, that is the whole cone
+    f.w.{1,2}*, so this one invariant rules out common knowledge of every
+    sentence. A bare fact is common knowledge exactly when both its
+    languages are `ALL_WORDS`, whose cone word is the empty suffix, so the
+    scan reports it as a cone at the bare fact. The cone test is exact: a
+    finite trace leaves each language an own-mark chain plus finitely many
+    w.T, and none of those holds a cone.
 
     Covers every subset pair over the two-fact set; reproducible from the
     seed alone. Zero traces is refused: that check would pass unexercised.
 
-    No rule mixes facts: a trace is a language pair per fact plus its ck
-    set, and a tell is `dynamics._tell_fact` on one pair. A bare fact is
-    common knowledge when both its languages are `ALL_WORDS`, the one
-    language whose root is the universal state. Each trace keeps its
-    candidate blocks in draw order with their running total, started from
-    the scenario's member lists, so a draw asks no cache. A tell grows the
-    receiver's language only; its block is listed again when the next
+    No rule mixes facts: a trace is a language pair per fact, and a tell is
+    `dynamics._tell_fact` on one pair. A language is scanned when a
+    scenario first reaches it: its four start languages, each own* or the
+    empty language, and then each language a tell changes. Each trace keeps
+    its candidate blocks in draw order with their running total, started
+    from the scenario's member lists, so a draw asks no cache. A tell grows
+    the receiver's language only; its block is listed again when the next
     draw needs it, and the sender's block at once should a broken rule
     change the sender's language too.
     """
@@ -202,22 +205,14 @@ def check_ck_dynamics(traces: int = CheckConfig.traces,
             for sender, fact, _ in order:
                 if start[fact][sender - 1] not in scanned:
                     scan(start[fact][sender - 1], sender, fact, 0, 0)
-            start_ck = frozenset(f for f in facts if start[f] == (ALL_WORDS, ALL_WORDS))
             start_blocks = [members(start[fact][sender - 1], SAMPLE_DEPTH)
                             for sender, fact, _ in order]
             start_total = sum(map(len, start_blocks))
             for trace_index in range(traces):
                 length = rng.randint(0, TRACE_LENGTH)
                 pairs, blocks, total = dict(start), start_blocks[:], start_total
-                ck_set, lost, stale, grown = start_ck, None, None, None
+                stale = grown = None
                 for step_index in range(length + 1):
-                    if ck_set:
-                        report(trace_index, step_index,
-                               f"common knowledge of "
-                               f"{{{','.join(sorted(ck_set))}}} on a finite trace")
-                    if lost:
-                        report(trace_index, step_index, f"common knowledge lost: {{{lost}}}")
-                        lost = None
                     if step_index == length:
                         break
                     if stale is not None:  # the last tell grew this block's language
@@ -245,10 +240,6 @@ def check_ck_dynamics(traces: int = CheckConfig.traces,
                         for side in (0, 1):
                             if after[side] not in scanned:
                                 scan(after[side], side + 1, fact, trace_index, step_index + 1)
-                    made = after == (ALL_WORDS, ALL_WORDS)
-                    if made != (fact in ck_set):
-                        ck_set ^= {fact}
-                        lost = None if made else fact
     return _finish("ck-dynamics", count, violations, started)
 
 

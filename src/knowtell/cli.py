@@ -9,7 +9,6 @@ trace, bad query).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import sys
 from typing import Sequence
@@ -198,19 +197,17 @@ def _cmd_saturate(args) -> int:
         raise InputError(
             "--emit-dot needs exactly one acceptor; pass --fact and --side"
         )
-    # opened before any output, so an unwritable path prints nothing
-    with (open(args.emit_dot, "w", encoding="utf-8") if args.emit_dot
-          else contextlib.nullcontext()) as dot_file:
-        result = saturate(scenario)
-        for line in _summary_lines(scenario, result.state_a, result.state_b):
-            print(line)
-        if args.emit_regex:
-            for side, fact in chosen:
-                print(f"side {side} fact {fact}: {result.regexes[side][fact]}")
-        if dot_file is not None:
-            (side, fact), = chosen
-            lang = (result.state_a, result.state_b)[side - 1].langs[fact]
+    result = saturate(scenario)
+    if args.emit_dot:  # written before any output, so an unwritable path prints nothing
+        (side, fact), = chosen
+        lang = (result.state_a, result.state_b)[side - 1].langs[fact]
+        with open(args.emit_dot, "w", encoding="utf-8") as dot_file:
             dot_file.write(to_dot(lang, name=f"side{side}_{fact}"))
+    for line in _summary_lines(scenario, result.state_a, result.state_b):
+        print(line)
+    if args.emit_regex:
+        for side, fact in chosen:
+            print(f"side {side} fact {fact}: {result.regexes[side][fact]}")
     if args.emit_dot:
         print(f"wrote {args.emit_dot}")
     return EXIT_PASS

@@ -101,7 +101,7 @@ def run_trace(scenario: Scenario, events: Sequence[TellEvent]
     for index, event in enumerate(events):
         try:
             state_a, state_b = step(state_a, state_b, event, scenario.model)
-        except (TellError, ValueError) as exc:
+        except ValueError as exc:  # TellError among them
             raise TraceError(index, str(exc)) from exc
     return state_a, state_b
 

@@ -93,9 +93,14 @@ class Lang:
         return bool(_accepting[self.root])
 
     def __repr__(self) -> str:
-        shown = members(self, 3)[:6]
-        more = ",..." if len(members(self, 6)) > len(shown) else ""
-        text = ",".join("e" if not w else "".join(map(str, w)) for w in shown)
+        listed = members(self, 3)
+        # in the minimal store every state but EMPTY's root leads on to a
+        # member, so one reached by four letters means a longer member
+        level = {self.root}
+        for _ in range(4):
+            level = {after for state in level for after in _delta[state]}
+        more = ",..." if len(listed) > 6 or level != {EMPTY.root} else ""
+        text = ",".join("e" if not w else "".join(map(str, w)) for w in listed[:6])
         return f"Lang{{{text}{more}}}"
 
 

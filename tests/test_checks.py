@@ -30,8 +30,7 @@ from knowtell.checks import (
 from knowtell.dynamics import TellEvent, _tell_fact, saturate, step
 from knowtell.langs import ALL_WORDS, cone, contains_cone, members, union
 from knowtell.sentences import Sentence, format_sentence
-from knowtell.states import (KnowledgeState, ModelKind, Scenario, common_knowledge,
-                             initial_state, knows)
+from knowtell.states import KnowledgeState, ModelKind, Scenario, initial_state, knows
 from tests.test_langs import evicting
 
 
@@ -517,25 +516,10 @@ def cone_at(suffix):
     return add_cone
 
 
-@pytest.mark.parametrize("k", [1, 273, 1624])
-def test_ck_dynamics_sees_common_knowledge_made_by_a_step(monkeypatch, k):
-    # kills a check that does not ask common knowledge again after a step
-    scenario, trace, prefix, event, _ = next(
-        itertools.islice(growing_tells(20, 42), k - 1, None))
-    monkeypatch.setattr(checks, "_tell_fact", mutant_tell(k, all_words_on_both_sides))
-    report = check_ck_dynamics(20, 42)
-    ck_found = [v for v in report.violations if "common knowledge" in v.witness]
-    assert ck_found[0] == Violation(
-        scenario.describe(),
-        f"trace {trace} prefix {prefix}: common knowledge of "
-        f"{{{event.message.fact}}} on a finite trace",
-    )
-
-
 @pytest.mark.parametrize("k, suffix", [(1, (1,)), (602, (2, 1, 2)), (2289, (1, 1))])
 def test_ck_dynamics_sees_a_cone_behind_a_suffix(monkeypatch, k, suffix):
-    # only one side holds the cone, and not at the bare fact: no bare-fact ck
-    # answer changes, so only the whole-state invariant can see it
+    # only one side holds the cone, and not at the bare fact: no bare fact
+    # is common knowledge, yet the scan still sees the cone
     scenario, trace, prefix, event, after = next(
         itertools.islice(growing_tells(20, 42), k - 1, None))
     mutate = cone_at(suffix)
@@ -580,15 +564,12 @@ def made_then_taken_back(k):
 
 
 # every violation of check_ck_dynamics(20, 42) under each mutant, in report
-# order: the scans of a tell's pair (side 1 first), then the prefix's common
-# knowledge, then what it lost
+# order: the scans of a tell's pair, side 1 first
 ONE_COMM = "facts={a,b} side1={} side2={a} model=communication"
 VIOLATION_PINS = {
     "both-universal-1": (
         lambda: mutant_tell(1, all_words_on_both_sides),
-        [(ONE_COMM, "trace 1 prefix 1: side 1's language for a holds every extension of 'a'")]
-        + [(ONE_COMM, f"trace 1 prefix {p}: common knowledge of {{a}} on a finite trace")
-           for p in range(1, 9)],
+        [(ONE_COMM, "trace 1 prefix 1: side 1's language for a holds every extension of 'a'")],
     ),
     "cone-602": (
         lambda: mutant_tell(602, cone_at((2, 1, 2))),
@@ -598,24 +579,54 @@ VIOLATION_PINS = {
     ),
     "made-then-lost-194": (
         lambda: made_then_taken_back(194),
-        [("facts={a,b} side1={} side2={a,b} model=communication", text) for text in (
-            "trace 9 prefix 5: side 1's language for a holds every extension of 'a'",
-            "trace 9 prefix 5: common knowledge of {a} on a finite trace",
-            "trace 9 prefix 6: common knowledge of {a} on a finite trace",
-            "trace 9 prefix 7: common knowledge of {a} on a finite trace",
-            "trace 9 prefix 8: common knowledge lost: {a}",
-        )],
+        [("facts={a,b} side1={} side2={a,b} model=communication",
+          "trace 9 prefix 5: side 1's language for a holds every extension of 'a'")],
     ),
-    # the sender is side 1 here, so its universal language is scanned first
+    # the sender is side 1 here; the pair handed back was scanned before
     "sender-made-then-lost-5": (
         lambda: made_then_taken_back(5),
-        [(ONE_COMM, text) for text in (
-            "trace 1 prefix 7: side 1's language for a holds every extension of 'a'",
-            "trace 1 prefix 7: common knowledge of {a} on a finite trace",
-            "trace 1 prefix 8: common knowledge lost: {a}",
-        )],
+        [(ONE_COMM, "trace 1 prefix 7: side 1's language for a holds every extension of 'a'")],
     ),
 }
+
+
+def both_universal_at(k):
+    return mutant_tell(k, all_words_on_both_sides)
+
+
+# per mutant that makes a bare fact common knowledge at the k-th growing
+# tell: k, and where check_ck_dynamics(20, 42) first reports it
+CK_MADE = {
+    "1": (both_universal_at, 1, ONE_COMM, 1, 1),
+    "273": (both_universal_at, 273,
+            "facts={a,b} side1={a} side2={} model=communication", 4, 7),
+    "1624": (both_universal_at, 1624,
+             "facts={a,b} side1={a} side2={a} model=understanding", 16, 5),
+    "made-then-lost-194": (made_then_taken_back, 194,
+                           "facts={a,b} side1={} side2={a,b} model=communication", 9, 5),
+    "made-then-lost-5": (made_then_taken_back, 5, ONE_COMM, 1, 7),
+}
+
+
+@pytest.mark.parametrize("name", CK_MADE)
+def test_ck_dynamics_sees_common_knowledge_made_by_a_step(monkeypatch, name):
+    # a fact made common knowledge leaves both its languages ALL_WORDS, the
+    # whole cone of the bare fact, so the scan of the grown pair reports it
+    # at the tell's prefix: the check needs no ck set of its own
+    made_at, k, scenario, trace, prefix = CK_MADE[name]
+    replayed, r_trace, r_prefix, event, _ = next(
+        itertools.islice(growing_tells(20, 42), k - 1, None))
+    assert (replayed.describe(), r_trace, r_prefix) == (scenario, trace, prefix)
+    monkeypatch.setattr(checks, "_tell_fact", made_at(k))
+    report = check_ck_dynamics(20, 42)
+    assert report.status == "fail"
+    assert not any("common knowledge" in v.witness for v in report.violations)
+    fact = event.message.fact
+    assert report.violations[0] == Violation(
+        scenario,
+        f"trace {trace} prefix {prefix}: side 1's language for {fact} holds "
+        f"every extension of '{fact}'",
+    )
 
 
 @pytest.mark.parametrize("name", VIOLATION_PINS)
@@ -628,18 +639,18 @@ def test_ck_dynamics_reports_every_violation_in_order(monkeypatch, name):
 
 def walked_prefixes(traces, seed):
     """Run check_ck_dynamics(traces, seed) and read its walk at every prefix
-    it reaches, from the frame, where it asks the prefix's ck set:
-    (the report, [(scenario, trace, prefix, per-fact pairs, ck set)])."""
+    it reaches, from the frame, where it asks whether the trace ends there:
+    (the report, [(scenario, trace, prefix, per-fact pairs)])."""
     lines, first = inspect.getsourcelines(check_ck_dynamics)
     at = first + next(i for i, text in enumerate(lines)
-                      if text.strip() == "if ck_set:")
+                      if text.strip() == "if step_index == length:")
     walked = []
 
     def reading(frame, event, arg):
         if event == "line" and frame.f_lineno == at:
             seen = frame.f_locals
             walked.append((seen["scenario"].describe(), seen["trace_index"],
-                           seen["step_index"], dict(seen["pairs"]), seen["ck_set"]))
+                           seen["step_index"], dict(seen["pairs"])))
         return reading
 
     code = check_ck_dynamics.__code__
@@ -652,27 +663,20 @@ def walked_prefixes(traces, seed):
     return report, walked
 
 
-@pytest.mark.parametrize("mutate, ck_made", [
-    (None, False), (all_words_on_both_sides, True), (cone_at(()), False),
-], ids=["plain", "both-universal", "receiver-universal"])
-def test_the_per_fact_walk_loses_nothing_against_whole_states(monkeypatch, mutate,
-                                                              ck_made):
-    # at every prefix, the check's ck set is the bare facts that are common
-    # knowledge of the replayed states, and its pairs are their languages;
-    # the mutants of the first growing tell make one or both sides universal
+@pytest.mark.parametrize("mutate", [None, all_words_on_both_sides, cone_at(())],
+                         ids=["plain", "both-universal", "receiver-universal"])
+def test_the_per_fact_walk_loses_nothing_against_whole_states(monkeypatch, mutate):
+    # at every prefix, the check's pairs are the languages of the replayed
+    # states; the mutants of the first growing tell make one or both sides
+    # universal
     k = mutate and 1
     if mutate:
         monkeypatch.setattr(checks, "_tell_fact", mutant_tell(k, mutate))
     report, walked = walked_prefixes(20, 42)
     replayed = list(replay(20, 42, k, mutate))
     assert len(walked) == len(replayed)
-    ck_sets = set()
-    for (scenario, trace, prefix, pairs, ck_set), (
+    for (scenario, trace, prefix, pairs), (
             r_scenario, r_trace, r_prefix, _, states) in zip(walked, replayed):
         assert (scenario, trace, prefix) == (r_scenario.describe(), r_trace, r_prefix)
-        assert ck_set == {f for f in r_scenario.facts
-                          if common_knowledge(*states, Sentence(f))}
         assert pairs == pairs_of(*states, r_scenario.facts)
-        ck_sets.add(ck_set)
     assert report.status == ("fail" if mutate else "pass")
-    assert (ck_sets != {frozenset()}) == ck_made

@@ -681,10 +681,12 @@ def test_enumeration_depth_is_bounded():
     ("0", "Lang{}"),
     ("e", "Lang{e}"),
     ("(1|2)*", "Lang{e,1,2,11,12,21,...}"),
-    # ",..." marks a member up to length 6 that is not shown
+    # ",..." marks any member that is not shown, however long
     ("1111", "Lang{,...}"),
     ("12|21|1122", "Lang{12,21,...}"),
     ("1*2", "Lang{2,12,112,...}"),
+    ("1111111", "Lang{,...}"),
+    ("1111111(1|2)*", "Lang{,...}"),
 ])
 def test_repr_shows_the_first_members_up_to_length_3(text, shown):
     assert repr(from_regex(text)) == shown
