@@ -158,30 +158,31 @@ def check_ck_dynamics(traces: int = CheckConfig.traces,
     w.T, and none of those holds a cone.
 
     Covers every subset pair over the two-fact set; reproducible from the
-    seed alone. Zero traces is refused: that check would pass unexercised.
+    seed alone, so a seed that is not an int is refused (`random.Random`
+    seeds None from the system's entropy). Zero traces is refused: that
+    check would pass unexercised.
 
     No rule mixes facts: a trace is a language pair per fact, and a tell is
-    `dynamics._tell_fact` on one pair. A language is scanned when a
-    scenario first reaches it: its four start languages, each own* or the
-    empty language, and then each language a tell changes. Each trace keeps
-    its candidate blocks in draw order with their running total, started
-    from the scenario's member lists, so a draw asks no cache. A tell grows
-    the receiver's language only; its block is listed again when the next
-    draw needs it, and the sender's block at once should a broken rule
-    change the sender's language too.
+    `dynamics._tell_fact` on one pair; the n-th tell leads to prefix n. A
+    language is scanned when a scenario first reaches it: its four start
+    languages, each own* or the empty language, then each side of a pair a
+    tell changes, side 1 first. The real rule leaves the sender's language
+    as it was, and so already scanned. Each trace keeps its candidate
+    blocks in draw order with their running total, started from the
+    scenario's member lists, so a draw asks no cache. A tell grows the
+    receiver's language only; its block is listed again when the next draw
+    needs it, and the sender's block at once should a broken rule change
+    the sender's language too.
     """
     _require_count("traces", traces, 1)
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an int, got {seed!r}")
     started = time.perf_counter()
     rng = random.Random(seed)
     violations: list[Violation] = []
     count = 0
     facts = FACT_POOL[:2]
     order = _draw_order(facts)
-
-    def report(trace_index: int, step_index: int, text: str) -> None:
-        violations.append(Violation(
-            scenario.describe(), f"trace {trace_index} prefix {step_index}: {text}"
-        ))
 
     def scan(lang: Lang, side: int, fact: str, trace_index: int,
              step_index: int) -> None:
@@ -190,9 +191,11 @@ def check_ck_dynamics(traces: int = CheckConfig.traces,
         scanned.add(lang)
         word = cone_word(lang)
         if word is not None:
-            report(trace_index, step_index,
-                   f"side {side}'s language for {fact} holds every "
-                   f"extension of '{format_sentence(Sentence(fact, word))}'")
+            violations.append(Violation(
+                scenario.describe(),
+                f"trace {trace_index} prefix {step_index}: side {side}'s language "
+                f"for {fact} holds every extension of "
+                f"'{format_sentence(Sentence(fact, word))}'"))
 
     for model in (ModelKind.COMMUNICATION, ModelKind.UNDERSTANDING):
         understanding = model is ModelKind.UNDERSTANDING
@@ -209,12 +212,9 @@ def check_ck_dynamics(traces: int = CheckConfig.traces,
                             for sender, fact, _ in order]
             start_total = sum(map(len, start_blocks))
             for trace_index in range(traces):
-                length = rng.randint(0, TRACE_LENGTH)
                 pairs, blocks, total = dict(start), start_blocks[:], start_total
                 stale = grown = None
-                for step_index in range(length + 1):
-                    if step_index == length:
-                        break
+                for step_index in range(1, rng.randint(0, TRACE_LENGTH) + 1):
                     if stale is not None:  # the last tell grew this block's language
                         words = members(grown, SAMPLE_DEPTH)
                         total += len(words) - len(blocks[stale])
@@ -230,16 +230,14 @@ def check_ck_dynamics(traces: int = CheckConfig.traces,
                     if after is before:  # nothing changed, and nothing to scan
                         continue
                     stale, grown = other, after[2 - sender]
-                    if after[sender - 1] is before[sender - 1]:
-                        if grown not in scanned:
-                            scan(grown, 3 - sender, fact, trace_index, step_index + 1)
-                    else:  # only a broken rule changes the sender's language
+                    if after[sender - 1] is not before[sender - 1]:  # a broken rule only
                         words = members(after[sender - 1], SAMPLE_DEPTH)
                         total += len(words) - len(blocks[block])
                         blocks[block] = words
-                        for side in (0, 1):
-                            if after[side] not in scanned:
-                                scan(after[side], side + 1, fact, trace_index, step_index + 1)
+                    if after[0] not in scanned:
+                        scan(after[0], 1, fact, trace_index, step_index)
+                    if after[1] not in scanned:
+                        scan(after[1], 2, fact, trace_index, step_index)
     return _finish("ck-dynamics", count, violations, started)
 
 

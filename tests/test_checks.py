@@ -1,6 +1,5 @@
 import dataclasses
 import hashlib
-import inspect
 import itertools
 import random
 import re
@@ -138,12 +137,14 @@ def test_ck_dynamics_refuses_to_run_no_trace(traces):
         check_ck_dynamics(traces=traces)
 
 
-@pytest.mark.parametrize("bad", [True, 2.0, "3"], ids=["true", "float", "str"])
+@pytest.mark.parametrize("bad", [True, 2.0, "3", None], ids=["true", "float", "str", "none"])
 def test_the_check_entry_points_refuse_counts_that_are_not_ints(bad):
-    # True ran as one trace and 2.0 died in range(); each is now refused
-    # before any work, naming the value
+    # True ran as one trace, 2.0 died in range() and a seed of None drew
+    # from the system's entropy; each is now refused before any work,
+    # naming the value
     calls = [
         ("traces", lambda: check_ck_dynamics(bad)),
+        ("seed", lambda: check_ck_dynamics(1, bad)),
         ("max_facts", lambda: scenario_grid(bad, ModelKind.COMMUNICATION)),
         ("max_facts", lambda: check_language_equivalence_props(bad)),
         ("max_facts", lambda: check_success_theorems(bad)),
@@ -422,7 +423,8 @@ def test_a_draw_reads_no_cache(monkeypatch):
     def drawing(blocks, total, rng):
         nonlocal draws, followed, grew
         draws += 1
-        followed += grew and sys._getframe(1).f_locals["step_index"] > 0
+        # a trace's first draw, at step 1, follows no tell of its own trace
+        followed += grew and sys._getframe(1).f_locals["step_index"] > 1
         grew = False
         return _draw_tell(blocks, total, rng)
 
@@ -637,46 +639,62 @@ def test_ck_dynamics_reports_every_violation_in_order(monkeypatch, name):
     assert [(v.scenario, v.witness) for v in report.violations] == pinned
 
 
-def walked_prefixes(traces, seed):
-    """Run check_ck_dynamics(traces, seed) and read its walk at every prefix
-    it reaches, from the frame, where it asks whether the trace ends there:
-    (the report, [(scenario, trace, prefix, per-fact pairs)])."""
-    lines, first = inspect.getsourcelines(check_ck_dynamics)
-    at = first + next(i for i, text in enumerate(lines)
-                      if text.strip() == "if step_index == length:")
+@pytest.mark.parametrize("name", ["both-universal-1", "sender-made-then-lost-5"])
+def test_every_draw_lists_the_pairs_the_check_holds(monkeypatch, name):
+    # these mutants change the sender's language too, whose block the check
+    # must then list again at once: the receiver's waits for the next draw
+    draws = 0
+
+    def drawing(blocks, total, rng):
+        nonlocal draws
+        draws += 1
+        assert blocks == blocks_of(drawing_pairs(), SAMPLE_DEPTH)
+        assert total == sum(map(len, blocks))
+        return _draw_tell(blocks, total, rng)
+
+    monkeypatch.setattr(checks, "_draw_tell", drawing)
+    monkeypatch.setattr(checks, "_tell_fact", VIOLATION_PINS[name][0]())
+    assert check_ck_dynamics(20, 42).status == "fail" and draws > 3_000
+
+
+def walked_prefixes(monkeypatch, traces, seed):
+    """Run check_ck_dynamics(traces, seed) and read its walk at every draw,
+    from the frame: (the report, [((scenario, trace, prefix), per-fact
+    pairs)]), where the prefix counts the tells made before the draw."""
     walked = []
 
-    def reading(frame, event, arg):
-        if event == "line" and frame.f_lineno == at:
-            seen = frame.f_locals
-            walked.append((seen["scenario"].describe(), seen["trace_index"],
-                           seen["step_index"], dict(seen["pairs"])))
-        return reading
+    def drawing(blocks, total, rng):
+        seen = sys._getframe(1).f_locals
+        walked.append(((seen["scenario"].describe(), seen["trace_index"],
+                        seen["step_index"] - 1), dict(seen["pairs"])))
+        return _draw_tell(blocks, total, rng)
 
-    code = check_ck_dynamics.__code__
-    outer = sys.gettrace()
-    sys.settrace(lambda frame, event, arg: reading if frame.f_code is code else None)
-    try:
-        report = check_ck_dynamics(traces, seed)
-    finally:
-        sys.settrace(outer)
-    return report, walked
+    monkeypatch.setattr(checks, "_draw_tell", drawing)
+    return check_ck_dynamics(traces, seed), walked
 
 
 @pytest.mark.parametrize("mutate", [None, all_words_on_both_sides, cone_at(())],
                          ids=["plain", "both-universal", "receiver-universal"])
 def test_the_per_fact_walk_loses_nothing_against_whole_states(monkeypatch, mutate):
-    # at every prefix, the check's pairs are the languages of the replayed
-    # states; the mutants of the first growing tell make one or both sides
-    # universal
+    # at every prefix the check draws at, its pairs are the languages of the
+    # replayed states; the mutants of the first growing tell make one or
+    # both sides universal. The check draws, in order, at every prefix of a
+    # trace but the last, and at the last too when it finds no tell there;
+    # test_the_checks_tell_by_the_rule_that_step_guards checks the pairs a
+    # trace's last tell leads to.
     k = mutate and 1
     if mutate:
         monkeypatch.setattr(checks, "_tell_fact", mutant_tell(k, mutate))
-    report, walked = walked_prefixes(20, 42)
-    replayed = list(replay(20, 42, k, mutate))
-    assert len(walked) == len(replayed)
-    for (scenario, trace, prefix, pairs), (
-            r_scenario, r_trace, r_prefix, _, states) in zip(walked, replayed):
-        assert (scenario, trace, prefix) == (r_scenario.describe(), r_trace, r_prefix)
-        assert pairs == pairs_of(*states, r_scenario.facts)
+    report, walked = walked_prefixes(monkeypatch, 20, 42)
+    replayed = {(scenario.describe(), trace, prefix): pairs_of(*states, scenario.facts)
+                for scenario, trace, prefix, _, states in replay(20, 42, k, mutate)}
+    keys = list(replayed)
+    inner = {key for key, after in zip(keys, keys[1:]) if key[:2] == after[:2]}
+    order = {key: at for at, key in enumerate(keys)}
+    drawn_at = [order[key] for key, _ in walked]
+    assert drawn_at == sorted(set(drawn_at))
+    assert inner <= {key for key, _ in walked}
+    for key, pairs in walked:
+        assert pairs == replayed[key]
+    assert len(walked) > 3_000
     assert report.status == ("fail" if mutate else "pass")
