@@ -12,20 +12,21 @@ distinct states and builds a tell's few new states there directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .records import Record
 from .regexes import Alt, Cat, Empty, Eps, Lit, Opt, Plus, Regex, Star
 
 
-@dataclass(frozen=True, slots=True)
-class Dfa:
+class Dfa(Record):
     """Complete deterministic acceptor; state 0 is the start state.
 
     delta[s] is the pair of successor states on letters 1 and 2.
     """
 
-    delta: tuple[tuple[int, int], ...]
-    accepting: tuple[bool, ...]
+    __slots__ = ("delta", "accepting")
+
+    def __init__(self, delta: tuple[tuple[int, int], ...], accepting: tuple[bool, ...]):
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "accepting", accepting)
 
     def accepts(self, word) -> bool:
         return self.accepting[walk(self.delta, 0, word)]

@@ -6,16 +6,15 @@ trace generation and always flows from an explicit seed.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
 import time
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .dynamics import _tell_fact, saturate
 from .langs import Lang, _require_count, cone_word, distinguishing_word, members
-from .oracle import compare_symbolic
+from .oracle import MAX_ORACLE_DEPTH, compare_symbolic
+from .records import Record
 from .sentences import Sentence, Word, format_sentence
 from .states import (
     KnowledgeState,
@@ -40,28 +39,40 @@ STABILITY_DEPTH = 5
 STABILITY_SEED = 2024
 
 
-@dataclass(frozen=True)
-class CheckConfig:
-    max_facts: int = 3
-    depth: int = 5
-    traces: int = 100
-    seed: int = 42
-    disable_understanding: bool = False
+class CheckConfig(Record):
+    """The settings of `knowtell check`, refused when built, before any check
+    runs. The defaults are read on the class, so the fields live in `__dict__`."""
+
+    __match_args__ = ("max_facts", "depth", "traces", "seed", "disable_understanding")
+    max_facts, depth, traces, seed = 3, 5, 100, 42
+
+    def __init__(self, max_facts: int = max_facts, depth: int = depth,
+                 traces: int = traces, seed: int = seed, disable_understanding: bool = False):
+        _require_count("max_facts", max_facts, 1, len(FACT_POOL))
+        _require_count("depth", depth, 0, MAX_ORACLE_DEPTH)
+        _require_count("traces", traces, 1)
+        _require_seed(seed)
+        if type(disable_understanding) is not bool:
+            raise ValueError("disable_understanding must be a bool, "
+                             f"got {disable_understanding!r}")
+        super().__init__(max_facts, depth, traces, seed, disable_understanding)
 
 
-@dataclass(frozen=True)
-class Violation:
-    scenario: str
-    witness: str
+def _require_seed(seed: object) -> None:
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an int, got {seed!r}")
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    name: str
-    scenarios: int
-    violations: tuple[Violation, ...]
-    millis: int
-    notes: tuple[str, ...] = ()
+class Violation(Record):
+    __slots__ = ("scenario", "witness")
+
+
+class CheckReport(Record):
+    __slots__ = ("name", "scenarios", "violations", "millis", "notes")
+
+    def __init__(self, name: str, scenarios: int, violations: tuple[Violation, ...],
+                 millis: int, notes: tuple[str, ...] = ()):
+        super().__init__(name, scenarios, violations, millis, notes)
 
     @property
     def status(self) -> str:
@@ -175,8 +186,7 @@ def check_ck_dynamics(traces: int = CheckConfig.traces,
     the sender's language too.
     """
     _require_count("traces", traces, 1)
-    if type(seed) is not int:
-        raise ValueError(f"seed must be an int, got {seed!r}")
+    _require_seed(seed)
     started = time.perf_counter()
     rng = random.Random(seed)
     violations: list[Violation] = []
@@ -267,7 +277,8 @@ def check_success_theorems(max_facts: int = CheckConfig.max_facts, *,
 
     for scenario in scenario_grid(max_facts, ModelKind.UNDERSTANDING):
         count += 1
-        result = saturate(dataclasses.replace(scenario, model=ModelKind.COMMUNICATION)
+        result = saturate(Scenario(scenario.facts, scenario.side_a, scenario.side_b,
+                                   ModelKind.COMMUNICATION)
                           if disable_understanding else scenario)
         covered = scenario.side_a | scenario.side_b >= set(scenario.facts)
         witness = _inequality_witness(result.state_a, result.state_b)

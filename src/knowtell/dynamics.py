@@ -15,12 +15,12 @@ is returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
 from . import regexes
 from .langs import Lang, _tell_tail, _union_tail, concat, from_ast, union
+from .records import Record
 from .regexes import Lit, alt, cat, regex_to_text
 from .sentences import Sentence, Word, check_agent
 from .states import (KnowledgeState, ModelKind, Scenario, initial_state, knows,
@@ -39,21 +39,21 @@ class TraceError(ValueError):
         self.index = index
 
 
-@dataclass(frozen=True)
-class TellEvent:
+class TellEvent(Record):
     """One truthful message from sender to receiver."""
 
-    sender: int
-    receiver: int
-    message: Sentence
+    __slots__ = ("sender", "receiver", "message")
 
-    def __post_init__(self):
-        check_agent(self.sender)
-        check_agent(self.receiver)
-        if self.sender == self.receiver:
+    def __init__(self, sender: int, receiver: int, message: Sentence):
+        check_agent(sender)
+        check_agent(receiver)
+        if sender == receiver:
             raise TellError("sender and receiver must be different agents")
-        if not isinstance(self.message, Sentence):
-            raise TellError(f"message must be a Sentence, got {self.message!r}")
+        if not isinstance(message, Sentence):
+            raise TellError(f"message must be a Sentence, got {message!r}")
+        object.__setattr__(self, "sender", sender)
+        object.__setattr__(self, "receiver", receiver)
+        object.__setattr__(self, "message", message)
 
 
 def _tell_fact(pair: tuple[Lang, Lang], sender: int, word: Word,
@@ -106,13 +106,15 @@ def run_trace(scenario: Scenario, events: Sequence[TellEvent]
     return state_a, state_b
 
 
-@dataclass(frozen=True)
-class SaturationResult:
+class SaturationResult(Record):
     """Both limit states plus the solved per-fact expressions for audit."""
 
-    state_a: KnowledgeState
-    state_b: KnowledgeState
-    regexes: dict[int, dict[str, str]]
+    __slots__ = ("state_a", "state_b", "regexes")  # regexes: side -> fact -> text
+
+    def __init__(self, state_a: KnowledgeState, state_b: KnowledgeState, regexes: dict):
+        object.__setattr__(self, "state_a", state_a)
+        object.__setattr__(self, "state_b", state_b)
+        object.__setattr__(self, "regexes", regexes)
 
 
 @lru_cache(maxsize=None)

@@ -10,22 +10,24 @@ length n, and one pass per length is exact up to the bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 from .dynamics import saturate
 from .langs import MAX_ORACLE_DEPTH, _require_count, enumerate_words
+from .records import Record
 from .sentences import Sentence, Word, format_sentence
 from .states import ModelKind, Scenario
 
 
-@dataclass(frozen=True)
-class BoundedKnowledge:
+class BoundedKnowledge(Record):
     """Every sentence an agent holds with suffix length up to the bound."""
 
-    agent: int
-    bound: int
-    suffixes: Mapping[str, frozenset[Word]]  # every scenario fact, empty if not held
+    __slots__ = ("agent", "bound", "suffixes")  # suffixes: every fact, empty if not held
+
+    def __init__(self, agent: int, bound: int, suffixes: Mapping[str, frozenset[Word]]):
+        object.__setattr__(self, "agent", agent)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "suffixes", suffixes)
 
     @property
     def sentences(self) -> frozenset[Sentence]:
@@ -63,21 +65,19 @@ def bounded_closure(scenario: Scenario, bound: int
     return BoundedKnowledge(1, bound, held_a), BoundedKnowledge(2, bound, held_b)
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(Record):
     """Per agent and fact: sentences only one engine produced."""
 
-    agent: int
-    fact: str
-    only_symbolic: tuple[str, ...]
-    only_bounded: tuple[str, ...]
+    __slots__ = ("agent", "fact", "only_symbolic", "only_bounded")
 
 
-@dataclass(frozen=True)
-class OracleReport:
-    scenario: Scenario
-    depth: int
-    mismatches: tuple[Mismatch, ...]
+class OracleReport(Record):
+    __slots__ = ("scenario", "depth", "mismatches")
+
+    def __init__(self, scenario: Scenario, depth: int, mismatches: tuple[Mismatch, ...]):
+        object.__setattr__(self, "scenario", scenario)
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "mismatches", mismatches)
 
     @property
     def ok(self) -> bool:
@@ -99,12 +99,6 @@ def compare_symbolic(scenario: Scenario, depth: int) -> OracleReport:
                     ordered = sorted(words, key=lambda w: (len(w), w))
                     return tuple(format_sentence(Sentence(fact, w)) for w in ordered)
 
-                mismatches.append(
-                    Mismatch(
-                        agent=state.agent,
-                        fact=fact,
-                        only_symbolic=render(symbolic - brute),
-                        only_bounded=render(brute - symbolic),
-                    )
-                )
+                mismatches.append(Mismatch(state.agent, fact, render(symbolic - brute),
+                                           render(brute - symbolic)))
     return OracleReport(scenario, depth, tuple(mismatches))

@@ -8,8 +8,9 @@ the notation stays ASCII-clean in files and CLI output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
+
+from .records import Record
 
 
 class RegexError(ValueError):
@@ -20,52 +21,46 @@ class RegexError(ValueError):
         self.position = position
 
 
-class Regex:
+class Regex(Record):
     """Base class for the regex AST; nodes are frozen and comparable."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Empty(Regex):
     """The empty language, written ``0``."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class Eps(Regex):
     """The empty word, written ``e``."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class Lit(Regex):
-    letter: int  # 1 or 2
+    __slots__ = ("letter",)  # 1 or 2
 
 
-@dataclass(frozen=True)
 class Alt(Regex):
-    left: Regex
-    right: Regex
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Cat(Regex):
-    left: Regex
-    right: Regex
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Star(Regex):
-    body: Regex
+    __slots__ = ("body",)
 
 
-@dataclass(frozen=True)
 class Plus(Regex):
-    body: Regex
+    __slots__ = ("body",)
 
 
-@dataclass(frozen=True)
 class Opt(Regex):
-    body: Regex
+    __slots__ = ("body",)
 
 
 EMPTY = Empty()

@@ -9,7 +9,8 @@ knower is always the last mark.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+
+from .records import Record
 
 AGENTS = (1, 2)
 
@@ -47,19 +48,19 @@ def check_fact(name: str) -> str:
     return name
 
 
-@dataclass(frozen=True)
-class Sentence:
+class Sentence(Record):
     """A fact plus the agent marks wrapped around it: ("a", (2, 1)) is a.2.1."""
 
-    fact: str
-    suffix: Word = ()
+    __slots__ = ("fact", "suffix")
 
-    def __post_init__(self):
-        check_fact(self.fact)
-        if not isinstance(self.suffix, tuple):
-            raise SentenceError(f"suffix must be a tuple of marks, got {self.suffix!r}")
-        for agent in self.suffix:
+    def __init__(self, fact: str, suffix: Word = ()):
+        check_fact(fact)
+        if not isinstance(suffix, tuple):
+            raise SentenceError(f"suffix must be a tuple of marks, got {suffix!r}")
+        for agent in suffix:
             check_agent(agent)
+        object.__setattr__(self, "fact", fact)
+        object.__setattr__(self, "suffix", suffix)
 
     @property
     def depth(self) -> int:

@@ -9,10 +9,10 @@ the two sides' own facts, and which communication model applies.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .langs import EMPTY, OWN_CHAINS, Lang, contains_cone
+from .records import Record
 from .sentences import Sentence, check_agent, check_fact
 
 
@@ -44,14 +44,10 @@ def model_kind(model: ModelKind | str) -> ModelKind:
         raise ScenarioError(f"model must be one of {names}, got {model!r}") from None
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     """The full fact set, each side's own facts, and the model."""
 
-    facts: tuple[str, ...]
-    side_a: frozenset[str]
-    side_b: frozenset[str]
-    model: ModelKind
+    __slots__ = ("facts", "side_a", "side_b", "model")
 
     @classmethod
     def make(cls, facts: Iterable[str], side_a: Iterable[str],
@@ -59,21 +55,25 @@ class Scenario:
         """Normalize plain iterables and strings into a validated scenario."""
         return cls(tuple(facts), frozenset(side_a), frozenset(side_b), model)
 
-    def __post_init__(self):
+    def __init__(self, facts: tuple[str, ...], side_a: frozenset[str],
+                 side_b: frozenset[str], model: ModelKind | str):
         seen = set()
-        for fact in self.facts:
+        for fact in facts:
             check_fact(fact)
             if fact in seen:
                 raise ScenarioError(f"duplicate fact {fact!r}")
             seen.add(fact)
-        for label, side in (("side_a", self.side_a), ("side_b", self.side_b)):
+        for label, side in (("side_a", side_a), ("side_b", side_b)):
             stray = sorted(side - seen)
             if stray:
                 raise ScenarioError(
                     f"{label} facts not in the fact set: {', '.join(stray)}"
                 )
+        object.__setattr__(self, "facts", facts)
+        object.__setattr__(self, "side_a", side_a)
+        object.__setattr__(self, "side_b", side_b)
         # a model's value stands for the model, as in `make` and `step`
-        object.__setattr__(self, "model", model_kind(self.model))
+        object.__setattr__(self, "model", model_kind(model))
 
     def side(self, agent: int) -> frozenset[str]:
         check_agent(agent)
@@ -95,12 +95,14 @@ def validate_scenario(scenario: Scenario) -> Scenario:
     return scenario
 
 
-@dataclass(frozen=True)
-class KnowledgeState:
+class KnowledgeState(Record):
     """One agent's knowledge: a suffix language per scenario fact."""
 
-    agent: int
-    langs: Mapping[str, Lang]
+    __slots__ = ("agent", "langs")
+
+    def __init__(self, agent: int, langs: Mapping[str, Lang]):
+        object.__setattr__(self, "agent", agent)
+        object.__setattr__(self, "langs", langs)
 
     def lang_for(self, fact: str) -> Lang:
         lang = self.langs.get(fact)

@@ -1,5 +1,5 @@
-import dataclasses
 import hashlib
+import inspect
 import itertools
 import random
 import re
@@ -15,6 +15,7 @@ from knowtell.checks import (
     STABILITY_SCENARIOS,
     TRACE_LENGTH,
     CheckConfig,
+    CheckReport,
     Violation,
     _draw_tell,
     check_ck_dynamics,
@@ -27,10 +28,15 @@ from knowtell.checks import (
     subsets_of,
 )
 from knowtell.dynamics import TellEvent, _tell_fact, saturate, step
-from knowtell.langs import ALL_WORDS, cone, contains_cone, members, union
+from knowtell.langs import ALL_WORDS, MAX_ORACLE_DEPTH, cone, contains_cone, members, union
 from knowtell.sentences import Sentence, format_sentence
 from knowtell.states import KnowledgeState, ModelKind, Scenario, initial_state, knows
 from tests.test_langs import evicting
+
+
+def without_millis(report: CheckReport) -> CheckReport:
+    """The report with its wall-clock timing zeroed."""
+    return CheckReport(report.name, report.scenarios, report.violations, 0, report.notes)
 
 
 def pairs_of(state_a, state_b, facts):
@@ -106,7 +112,7 @@ def test_language_equivalence_reports_both_witnesses(monkeypatch):
     # sides as if side 2 started empty
     def saturate_mixed_up(scenario):
         side_b = frozenset() if scenario.side_a == scenario.side_b else scenario.side_a
-        return saturate(dataclasses.replace(scenario, side_b=side_b))
+        return saturate(Scenario(scenario.facts, scenario.side_a, side_b, scenario.model))
 
     monkeypatch.setattr(checks, "saturate", saturate_mixed_up)
     report = check_language_equivalence_props(1)
@@ -193,9 +199,35 @@ def test_run_all_checks_order_and_status():
 
 
 def test_check_config_has_only_the_cli_settings():
-    assert [f.name for f in dataclasses.fields(CheckConfig)] == [
+    assert list(inspect.signature(CheckConfig).parameters) == [
         "max_facts", "depth", "traces", "seed", "disable_understanding",
     ]
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"seed": None}, "seed must be an int, got None"),
+    ({"seed": True}, "seed must be an int, got True"),
+    ({"traces": 0}, "traces must be >= 1, got 0"),
+    ({"max_facts": 4}, "max_facts must be in 1..3, got 4"),
+    ({"depth": 2.0}, "depth must be an int, got 2.0"),
+    ({"depth": MAX_ORACLE_DEPTH + 1},
+     f"depth must be in 0..{MAX_ORACLE_DEPTH}, got {MAX_ORACLE_DEPTH + 1}"),
+    ({"disable_understanding": "no"}, "disable_understanding must be a bool, got 'no'"),
+], ids=["seed-none", "seed-bool", "traces", "max-facts", "depth-float", "depth-high",
+        "mutate-str"])
+def test_a_bad_config_is_refused_before_any_check_runs(monkeypatch, settings, message):
+    ran = []
+
+    def counted(name, check):
+        return lambda *args, **kwargs: ran.append(name) or check(*args, **kwargs)
+
+    for name in ("check_language_equivalence_props", "check_ck_dynamics",
+                 "check_success_theorems", "check_fixpoint_stability",
+                 "check_oracle_equivalence"):
+        monkeypatch.setattr(checks, name, counted(name, getattr(checks, name)))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_all_checks(CheckConfig(**settings))
+    assert ran == []
 
 
 def test_reports_deterministic_given_seed():
@@ -204,12 +236,13 @@ def test_reports_deterministic_given_seed():
     second = run_all_checks(config)
     for a, b in zip(first, second):
         # identical except wall-clock timing
-        assert dataclasses.replace(a, millis=0) == dataclasses.replace(b, millis=0)
+        assert without_millis(a) == without_millis(b)
 
 
 def test_mutation_breaks_only_the_success_check():
     config = CheckConfig(max_facts=2, depth=4, traces=5)
-    reports = run_all_checks(dataclasses.replace(config, disable_understanding=True))
+    reports = run_all_checks(CheckConfig(max_facts=2, depth=4, traces=5,
+                                         disable_understanding=True))
     by_name = {r.name: r for r in reports}
     assert by_name["success-theorems"].status == "fail"
     assert by_name["success-theorems"].violations
@@ -221,8 +254,7 @@ def test_mutation_breaks_only_the_success_check():
     for name, report in by_name.items():
         if name != "success-theorems":
             assert report.status == "pass", name
-            assert (dataclasses.replace(report, millis=0)
-                    == dataclasses.replace(plain[name], millis=0)), name
+            assert without_millis(report) == without_millis(plain[name]), name
 
 
 def test_violations_replay():

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import random
 import re
@@ -318,7 +317,8 @@ def test_no_tell_builds_a_cycle(worked_example, model, monkeypatch):
 
     monkeypatch.setattr(langs, "_add_component", counted_add_component)
     monkeypatch.setattr(langs, "union", counted_union)
-    scenario = dataclasses.replace(worked_example, model=model)
+    scenario = Scenario(worked_example.facts, worked_example.side_a,
+                        worked_example.side_b, model)
     rng = random.Random(19)
     state_a, state_b = initial_state(1, scenario), initial_state(2, scenario)
     for _ in range(300):
@@ -543,7 +543,8 @@ def test_disable_understanding_matches_communication(worked_example):
         worked_example.facts, worked_example.side_a, worked_example.side_b,
         "understanding",
     )
-    engine = dataclasses.replace(scenario, model=ModelKind.COMMUNICATION)
+    engine = Scenario(scenario.facts, scenario.side_a, scenario.side_b,
+                      ModelKind.COMMUNICATION)
     assert engine == worked_example
     mutated = saturate(engine)
     plain = saturate(worked_example)

@@ -1,11 +1,10 @@
-import dataclasses
 import re
 
 import pytest
 
 from knowtell import automata, langs, oracle
 from knowtell.checks import scenario_grid
-from knowtell.dynamics import saturate
+from knowtell.dynamics import SaturationResult, saturate
 from knowtell.oracle import (
     MAX_ORACLE_DEPTH,
     BoundedKnowledge,
@@ -169,8 +168,8 @@ def test_compare_symbolic_reports_side_two_under_understanding(monkeypatch):
     assert side_a.suffixes == side_b.suffixes
     right = saturate(scenario)
     wrong = saturate(Scenario.make(["a", "b"], [], [], "understanding"))
-    monkeypatch.setattr(oracle, "saturate", lambda s, **kw: dataclasses.replace(
-        right, state_b=wrong.state_b))
+    monkeypatch.setattr(oracle, "saturate", lambda s, **kw: SaturationResult(
+        right.state_a, wrong.state_b, right.regexes))
     report = compare_symbolic(scenario, 3)
     assert [(m.agent, m.fact, m.only_symbolic) for m in report.mismatches] == [
         (2, "a", ())]
