@@ -24,10 +24,6 @@ class Dfa(Record):
 
     __slots__ = ("delta", "accepting")
 
-    def __init__(self, delta: tuple[tuple[int, int], ...], accepting: tuple[bool, ...]):
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "accepting", accepting)
-
     def accepts(self, word) -> bool:
         return self.accepting[walk(self.delta, 0, word)]
 

@@ -12,7 +12,7 @@ import time
 from typing import Iterator, Sequence
 
 from .dynamics import _tell_fact, saturate
-from .langs import Lang, _require_count, cone_word, distinguishing_word, members
+from .langs import Lang, _require_bool, _require_count, cone_word, distinguishing_word, members
 from .oracle import MAX_ORACLE_DEPTH, compare_symbolic
 from .records import Record
 from .sentences import Sentence, Word, format_sentence
@@ -40,8 +40,8 @@ STABILITY_SEED = 2024
 
 
 class CheckConfig(Record):
-    """The settings of `knowtell check`, refused when built, before any check
-    runs. The defaults are read on the class, so the fields live in `__dict__`."""
+    """The settings of `knowtell check`, refused when built, before any check runs.
+    The defaults are read on the class, so this `__init__` fills a `__dict__`."""
 
     __match_args__ = ("max_facts", "depth", "traces", "seed", "disable_understanding")
     max_facts, depth, traces, seed = 3, 5, 100, 42
@@ -52,10 +52,9 @@ class CheckConfig(Record):
         _require_count("depth", depth, 0, MAX_ORACLE_DEPTH)
         _require_count("traces", traces, 1)
         _require_seed(seed)
-        if type(disable_understanding) is not bool:
-            raise ValueError("disable_understanding must be a bool, "
-                             f"got {disable_understanding!r}")
-        super().__init__(max_facts, depth, traces, seed, disable_understanding)
+        _require_bool("disable_understanding", disable_understanding)
+        self.__dict__.update(zip(self.__match_args__,
+                                 (max_facts, depth, traces, seed, disable_understanding)))
 
 
 def _require_seed(seed: object) -> None:
@@ -259,6 +258,7 @@ def check_success_theorems(max_facts: int = CheckConfig.max_facts, *,
     as notes, not violations. The self-test fixture disable_understanding
     (`check --mutate no-understanding`) solves that grid under communication."""
     _require_count("max_facts", max_facts, 1, len(FACT_POOL))
+    _require_bool("disable_understanding", disable_understanding)
     started = time.perf_counter()
     violations: list[Violation] = []
     notes: list[str] = []
@@ -363,6 +363,7 @@ def check_oracle_equivalence(max_facts: int = CheckConfig.max_facts,
                              depth: int = CheckConfig.depth) -> CheckReport:
     """The bounded brute-force closure equals the enumerated saturated
     languages, per agent per fact, over the whole grid in both models."""
+    _require_count("depth", depth, 0, MAX_ORACLE_DEPTH)
     started = time.perf_counter()
     violations: list[Violation] = []
     count = 0

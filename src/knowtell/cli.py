@@ -22,7 +22,7 @@ from .dynamics import (
     saturate,
     step,
 )
-from .langs import MAX_ORACLE_DEPTH, to_dot
+from .langs import MAX_ORACLE_DEPTH, _require_count, to_dot
 from .oracle import compare_symbolic
 from .regexes import RegexError
 from .sentences import Sentence, SentenceError, parse_sentence
@@ -301,12 +301,14 @@ def _cmd_repl(args) -> int:
 
 
 def _int_in(low: int, high: int | None = None):
-    """argparse type: an int >= low, and <= high when given."""
+    """argparse type: an int >= low, and <= high when given, refused as the
+    library refuses a count."""
     def parse(text: str) -> int:
         value = int(text)
-        if value < low or (high is not None and value > high):
-            wanted = f">= {low}" if high is None else f"in {low}..{high}"
-            raise argparse.ArgumentTypeError(f"must be {wanted}, got {value}")
+        try:
+            _require_count("value", value, low, high)
+        except ValueError as exc:  # argparse would print only "invalid int value"
+            raise argparse.ArgumentTypeError(str(exc)) from None
         return value
     parse.__name__ = "int"  # argparse reports bad text as "invalid int value"
     return parse

@@ -51,6 +51,7 @@ class TellEvent(Record):
             raise TellError("sender and receiver must be different agents")
         if not isinstance(message, Sentence):
             raise TellError(f"message must be a Sentence, got {message!r}")
+        # set by hand, faster than Record.__init__: a TellEvent is built per tell
         object.__setattr__(self, "sender", sender)
         object.__setattr__(self, "receiver", receiver)
         object.__setattr__(self, "message", message)
@@ -111,11 +112,6 @@ class SaturationResult(Record):
 
     __slots__ = ("state_a", "state_b", "regexes")  # regexes: side -> fact -> text
 
-    def __init__(self, state_a: KnowledgeState, state_b: KnowledgeState, regexes: dict):
-        object.__setattr__(self, "state_a", state_a)
-        object.__setattr__(self, "state_b", state_b)
-        object.__setattr__(self, "regexes", regexes)
-
 
 @lru_cache(maxsize=None)
 def _solve_fact(in_a: bool, in_b: bool, understanding: bool):
@@ -158,9 +154,7 @@ def saturate(scenario: Scenario) -> SaturationResult:
     solved = {fact: _solve_fact(fact in scenario.side_a, fact in scenario.side_b,
                                 understanding)
               for fact in scenario.facts}
-    return SaturationResult(
-        state_a=KnowledgeState(1, {fact: s[0] for fact, s in solved.items()}),
-        state_b=KnowledgeState(2, {fact: s[1] for fact, s in solved.items()}),
-        regexes={1: {fact: s[2] for fact, s in solved.items()},
-                 2: {fact: s[3] for fact, s in solved.items()}},
-    )
+    return SaturationResult(KnowledgeState(1, {fact: s[0] for fact, s in solved.items()}),
+                            KnowledgeState(2, {fact: s[1] for fact, s in solved.items()}),
+                            {1: {fact: s[2] for fact, s in solved.items()},
+                             2: {fact: s[3] for fact, s in solved.items()}})

@@ -309,8 +309,7 @@ def union_tail(lang: Lang, word: Word, mark: int, optional: bool) -> Lang:
         raise ValueError(f"mark must be 1 or 2, got {mark!r}")
     if not isinstance(word, tuple):
         raise ValueError(f"word must be a tuple, got {word!r}")
-    if type(optional) is not bool:  # a truthy "no" would run the understanding rule
-        raise ValueError(f"optional must be a bool, got {optional!r}")
+    _require_bool("optional", optional)
     walk(_delta, lang.root, word)  # checks the letters
     return _union_tail(lang, word, mark, optional)
 
@@ -429,6 +428,11 @@ def _require_count(name: str, value: object, low: int, high: int | None = None):
     if value < low or (high is not None and value > high):
         wanted = f">= {low}" if high is None else f"in {low}..{high}"
         raise ValueError(f"{name} must be {wanted}, got {value}")
+
+
+def _require_bool(name: str, value: object):
+    if type(value) is not bool:  # a truthy "no" would switch a rule on
+        raise ValueError(f"{name} must be a bool, got {value!r}")
 
 
 # The member cache is typed, so that 2.0 and True miss the entries of 2 and

@@ -10,12 +10,10 @@ length n, and one pass per length is exact up to the bound.
 
 from __future__ import annotations
 
-from typing import Mapping
-
 from .dynamics import saturate
 from .langs import MAX_ORACLE_DEPTH, _require_count, enumerate_words
 from .records import Record
-from .sentences import Sentence, Word, format_sentence
+from .sentences import Sentence, format_sentence
 from .states import ModelKind, Scenario
 
 
@@ -23,11 +21,6 @@ class BoundedKnowledge(Record):
     """Every sentence an agent holds with suffix length up to the bound."""
 
     __slots__ = ("agent", "bound", "suffixes")  # suffixes: every fact, empty if not held
-
-    def __init__(self, agent: int, bound: int, suffixes: Mapping[str, frozenset[Word]]):
-        object.__setattr__(self, "agent", agent)
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "suffixes", suffixes)
 
     @property
     def sentences(self) -> frozenset[Sentence]:
@@ -73,11 +66,6 @@ class Mismatch(Record):
 
 class OracleReport(Record):
     __slots__ = ("scenario", "depth", "mismatches")
-
-    def __init__(self, scenario: Scenario, depth: int, mismatches: tuple[Mismatch, ...]):
-        object.__setattr__(self, "scenario", scenario)
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "mismatches", mismatches)
 
     @property
     def ok(self) -> bool:

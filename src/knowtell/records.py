@@ -3,20 +3,22 @@
 
 class Record:
     """A record's fields are the names in its own `__slots__`, in order, or
-    in its `__match_args__` if it keeps them in a `__dict__`. Records of one
-    class with equal fields are equal and hash alike; no field changes."""
+    in its `__match_args__` if it keeps them in a `__dict__` and so builds
+    itself. Records of one class with equal fields are equal and hash alike;
+    no field changes."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
         if "__slots__" in cls.__dict__:
             cls.__match_args__ = cls.__slots__
+            cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
 
     def __init__(self, *values):
-        if len(values) != len(self.__match_args__):
+        if len(values) != len(self._setters):
             raise TypeError(f"{type(self).__name__} takes the fields {self.__match_args__}")
-        for name, value in zip(self.__match_args__, values):
-            object.__setattr__(self, name, value)
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
 
     def _values(self) -> tuple:
         return tuple(map(self.__getattribute__, self.__match_args__))

@@ -59,8 +59,7 @@ class Sentence(Record):
             raise SentenceError(f"suffix must be a tuple of marks, got {suffix!r}")
         for agent in suffix:
             check_agent(agent)
-        object.__setattr__(self, "fact", fact)
-        object.__setattr__(self, "suffix", suffix)
+        super().__init__(fact, suffix)
 
     @property
     def depth(self) -> int:

@@ -69,11 +69,8 @@ class Scenario(Record):
                 raise ScenarioError(
                     f"{label} facts not in the fact set: {', '.join(stray)}"
                 )
-        object.__setattr__(self, "facts", facts)
-        object.__setattr__(self, "side_a", side_a)
-        object.__setattr__(self, "side_b", side_b)
         # a model's value stands for the model, as in `make` and `step`
-        object.__setattr__(self, "model", model_kind(model))
+        super().__init__(facts, side_a, side_b, model_kind(model))
 
     def side(self, agent: int) -> frozenset[str]:
         check_agent(agent)
@@ -101,6 +98,7 @@ class KnowledgeState(Record):
     __slots__ = ("agent", "langs")
 
     def __init__(self, agent: int, langs: Mapping[str, Lang]):
+        # set by hand, faster than Record.__init__: a state is built per tell
         object.__setattr__(self, "agent", agent)
         object.__setattr__(self, "langs", langs)
 

@@ -155,14 +155,20 @@ def test_the_check_entry_points_refuse_counts_that_are_not_ints(bad):
         ("max_facts", lambda: check_language_equivalence_props(bad)),
         ("max_facts", lambda: check_success_theorems(bad)),
         ("max_facts", lambda: check_oracle_equivalence(bad)),
+        ("depth", lambda: check_oracle_equivalence(2, bad)),
     ]
     for name, call in calls:
         with pytest.raises(ValueError,
                            match=rf"^{name} must be an int, got {re.escape(repr(bad))}$"):
             call()
-    with pytest.raises(ValueError,
-                       match=rf"^bound must be an int, got {re.escape(repr(bad))}$"):
-        check_oracle_equivalence(2, bad)
+
+
+@pytest.mark.parametrize("bad", ["no", None, 0, 1])
+def test_the_success_check_refuses_a_fixture_that_is_not_a_bool(bad):
+    # a truthy "no" once ran the mutated rule and failed with 2 violations
+    with pytest.raises(ValueError, match=rf"^disable_understanding must be a bool, "
+                                         rf"got {re.escape(repr(bad))}$"):
+        check_success_theorems(1, disable_understanding=bad)
 
 
 def test_success_theorems_pass_with_gap_notes():

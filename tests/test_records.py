@@ -82,6 +82,16 @@ def test_records_keep_their_value_semantics(make, fields, hashable):
     assert repr(record) == f"{type(record).__name__}({shown})"
 
 
+@pytest.mark.parametrize("make, fields", [row[:2] for row in ROWS],
+                         ids=[row[0]().__class__.__name__ for row in ROWS])
+def test_records_are_built_from_their_fields_by_position(make, fields):
+    record = make()
+    values = tuple(getattr(record, field) for field in fields)
+    assert type(record)(*values) == record
+    with pytest.raises(TypeError):
+        type(record)(*values, values[-1] if values else None)  # one field too many
+
+
 def test_regex_nodes_of_different_kinds_differ():
     # from_ast caches by node, so x*, x+ and x? must be three keys
     body = Lit(1)
