@@ -10,6 +10,8 @@ length n, and one pass per length is exact up to the bound.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .dynamics import saturate
 from .langs import MAX_ORACLE_DEPTH, _require_count, enumerate_words
 from .records import Record
@@ -28,6 +30,21 @@ class BoundedKnowledge(Record):
                          for fact, words in self.suffixes.items() for word in words)
 
 
+def _close_fact(in_a: bool, in_b: bool, understanding: bool, bound: int):
+    """Both sides' suffix sets for one fact, given who starts with it."""
+    own_a = frozenset({()} if in_a else ())
+    own_b = frozenset({()} if in_b else ())
+    if understanding:
+        own_a = own_b = own_a | own_b
+    one, two, told = own_a, own_b, set()
+    for _ in range(bound):
+        one = two = {word + (agent,)
+                     for agent, level in ((1, one), (2, two)) for word in level}
+        told |= one
+    held_a = own_a.union(told)
+    return held_a, held_a if own_b == own_a else own_b.union(told)
+
+
 def bounded_closure(scenario: Scenario, bound: int
                     ) -> tuple[BoundedKnowledge, BoundedKnowledge]:
     """Apply the rules one suffix length at a time, up to the bound.
@@ -42,20 +59,11 @@ def bounded_closure(scenario: Scenario, bound: int
     the least fixpoint.
     """
     _require_count("bound", bound, 0, MAX_ORACLE_DEPTH)
-    held_a, held_b = {}, {}
-    for fact in scenario.facts:
-        own_a = frozenset({()} if fact in scenario.side_a else ())
-        own_b = frozenset({()} if fact in scenario.side_b else ())
-        if scenario.model is ModelKind.UNDERSTANDING:
-            own_a = own_b = own_a | own_b
-        one, two, told = own_a, own_b, set()
-        for _ in range(bound):
-            one = two = {word + (agent,)
-                         for agent, level in ((1, one), (2, two)) for word in level}
-            told |= one
-        held_a[fact] = own_a.union(told)
-        held_b[fact] = held_a[fact] if own_b == own_a else own_b.union(told)
-    return BoundedKnowledge(1, bound, held_a), BoundedKnowledge(2, bound, held_b)
+    closed = {fact: _close_fact(fact in scenario.side_a, fact in scenario.side_b,
+                                scenario.model is ModelKind.UNDERSTANDING, bound)
+              for fact in scenario.facts}
+    return tuple(BoundedKnowledge(agent, bound, {f: s[agent - 1] for f, s in closed.items()})
+                 for agent in (1, 2))
 
 
 class Mismatch(Record):
@@ -72,21 +80,33 @@ class OracleReport(Record):
         return not self.mismatches
 
 
-def compare_symbolic(scenario: Scenario, depth: int) -> OracleReport:
-    """Enumerate each saturated language to the depth and compare it with
-    the bounded closure, per agent per fact. Mismatches are report content."""
-    closed = bounded_closure(scenario, depth)
-    result = saturate(scenario)
-    mismatches = []
-    for state, bounded in zip((result.state_a, result.state_b), closed):
-        for fact in scenario.facts:
-            symbolic = enumerate_words(state.langs[fact], depth)
-            brute = bounded.suffixes[fact]
-            if symbolic != brute:
-                def render(words):
-                    ordered = sorted(words, key=lambda w: (len(w), w))
-                    return tuple(format_sentence(Sentence(fact, w)) for w in ordered)
+# A fact class is who starts with the fact, and the model: the grid's 456
+# facts at one depth fall in 8 classes, and all 8 at every depth fit. An
+# entry keeps its limit languages, which dynamics._solve_fact keeps anyway,
+# and the differences as tuples, the shared () on a correct engine.
+@lru_cache(maxsize=8 * (MAX_ORACLE_DEPTH + 1))
+def _compare_fact(lang_a, lang_b, in_a, in_b, understanding, depth):
+    """Per side: (symbolic-only words, bounded-only words) for one fact."""
+    symbolic = (enumerate_words(lang_a, depth), enumerate_words(lang_b, depth))
+    return tuple((tuple(mine - brute), tuple(brute - mine)) for mine, brute in
+                 zip(symbolic, _close_fact(in_a, in_b, understanding, depth)))
 
-                mismatches.append(Mismatch(state.agent, fact, render(symbolic - brute),
-                                           render(brute - symbolic)))
-    return OracleReport(scenario, depth, tuple(mismatches))
+
+def compare_symbolic(scenario: Scenario, depth: int) -> OracleReport:
+    """Compare each saturated language, enumerated to the depth, with the
+    bounded closure, once per fact class; mismatches are report content."""
+    _require_count("depth", depth, 0, MAX_ORACLE_DEPTH)  # a cache key takes 2.0 for 2
+    result = saturate(scenario)
+    found = [(fact, _compare_fact(result.state_a.langs[fact], result.state_b.langs[fact],
+                                  fact in scenario.side_a, fact in scenario.side_b,
+                                  scenario.model is ModelKind.UNDERSTANDING, depth))
+             for fact in scenario.facts]
+
+    def render(fact, words):
+        ordered = sorted(words, key=lambda w: (len(w), w))
+        return tuple(format_sentence(Sentence(fact, w)) for w in ordered)
+
+    return OracleReport(scenario, depth, tuple(
+        Mismatch(agent, fact, render(fact, symbolic), render(fact, bounded))
+        for agent in (1, 2) for fact, sides in found
+        for symbolic, bounded in [sides[agent - 1]] if symbolic or bounded))

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from knowtell import checks
+from knowtell import checks, oracle
 from knowtell.checks import (
     FACT_POOL,
     SAMPLE_DEPTH,
@@ -189,6 +189,27 @@ def test_oracle_equivalence_passes():
     report = check_oracle_equivalence(2, depth=4)
     assert report.status == "pass"
     assert report.scenarios == (4 + 16) * 2
+
+
+def test_oracle_equivalence_fails_when_members_drops_its_longest_level(monkeypatch):
+    # the mutant census row: each listed language loses its words of the
+    # full depth, which the bounded closure still holds
+    listed = oracle.enumerate_words
+    monkeypatch.setattr(oracle, "enumerate_words", lambda lang, depth: frozenset(
+        word for word in listed(lang, depth) if len(word) < depth))
+    oracle._compare_fact.cache_clear()
+    try:
+        report = check_oracle_equivalence(1, 3)
+    finally:
+        oracle._compare_fact.cache_clear()
+    assert (report.status, len(report.violations)) == ("fail", 12)  # both sides of 6 of 8
+    assert report.violations[0] == Violation(
+        "facts={a} side1={} side2={a} model=communication",
+        "side 1 fact a: symbolic-only (none); bounded-only a.2.1.1,a.2.1.2,a.2.2.1,a.2.2.2")
+    for violation in report.violations:
+        symbolic_only, bounded_only = violation.witness.split("; bounded-only ")
+        assert symbolic_only.endswith("symbolic-only (none)")
+        assert all(len(text.split(".")) == 4 for text in bounded_only.split(","))
 
 
 def test_run_all_checks_order_and_status():

@@ -3,16 +3,19 @@ import re
 import pytest
 
 from knowtell import automata, langs, oracle
-from knowtell.checks import scenario_grid
+from knowtell.checks import check_oracle_equivalence, scenario_grid
 from knowtell.dynamics import SaturationResult, saturate
+from knowtell.langs import enumerate_words
 from knowtell.oracle import (
     MAX_ORACLE_DEPTH,
     BoundedKnowledge,
+    Mismatch,
+    OracleReport,
     bounded_closure,
     compare_symbolic,
 )
-from knowtell.sentences import Word, append_knows
-from knowtell.states import ModelKind, Scenario
+from knowtell.sentences import Sentence, Word, append_knows, format_sentence
+from knowtell.states import KnowledgeState, ModelKind, Scenario
 
 
 def texts(bounded: BoundedKnowledge) -> set[str]:
@@ -213,3 +216,104 @@ def test_closure_uses_no_automata(worked_example, monkeypatch):
         again_a, again_b = bounded_closure(scenario, 4)
         assert again_a.sentences == side_a.sentences
         assert again_b.sentences == side_b.sentences
+
+
+def reference_compare(scenario: Scenario, depth: int) -> OracleReport:
+    """compare_symbolic built fact by fact, with no cache: every fact of the
+    scenario closed by bounded_closure and listed by enumerate_words again."""
+    closed = bounded_closure(scenario, depth)
+    result = oracle.saturate(scenario)
+    mismatches = []
+    for state, bounded in zip((result.state_a, result.state_b), closed):
+        for fact in scenario.facts:
+            symbolic = enumerate_words(state.langs[fact], depth)
+            brute = bounded.suffixes[fact]
+            if symbolic != brute:
+                def render(words):
+                    ordered = sorted(words, key=lambda w: (len(w), w))
+                    return tuple(format_sentence(Sentence(fact, w)) for w in ordered)
+
+                mismatches.append(Mismatch(state.agent, fact, render(symbolic - brute),
+                                           render(brute - symbolic)))
+    return OracleReport(scenario, depth, tuple(mismatches))
+
+
+def two_fact_grid():
+    subsets = [(), ("a",), ("b",), ("a", "b")]
+    return [Scenario.make(("a", "b"), side_a, side_b, model)
+            for model in ModelKind for side_a in subsets for side_b in subsets]
+
+
+def other_model(scenario: Scenario) -> SaturationResult:
+    model, = set(ModelKind) - {scenario.model}
+    return saturate(Scenario(scenario.facts, scenario.side_a, scenario.side_b, model))
+
+
+def sides_swapped(scenario: Scenario) -> SaturationResult:
+    right = saturate(scenario)
+    return SaturationResult(KnowledgeState(1, right.state_b.langs),
+                            KnowledgeState(2, right.state_a.langs), right.regexes)
+
+
+@pytest.mark.parametrize("wrong", [None, other_model, sides_swapped],
+                         ids=["right", "other-model", "sides-swapped"])
+def test_compare_symbolic_equals_the_fact_by_fact_reference(monkeypatch, wrong):
+    if wrong is not None:
+        monkeypatch.setattr(oracle, "saturate", wrong)
+    mismatches = 0
+    for scenario in two_fact_grid():
+        for depth in range(7):
+            report = compare_symbolic(scenario, depth)
+            assert report == reference_compare(scenario, depth), (scenario.describe(), depth)
+            mismatches += len(report.mismatches)
+    assert (mismatches > 0) == (wrong is not None)
+
+
+def test_a_warm_cache_still_sees_a_wrong_engine(worked_example, monkeypatch):
+    # the wrong engines of test_compare_symbolic_reports_mismatches and
+    # test_compare_symbolic_reports_side_two_under_understanding, met on a
+    # cold cache and after the right engine filled it for the same classes
+    two_facts = Scenario.make(["a", "b"], ["a"], [], "understanding")
+    understanding = saturate(Scenario.make(
+        worked_example.facts, worked_example.side_a, worked_example.side_b,
+        "understanding"))
+    right = saturate(two_facts)
+    wrong = saturate(Scenario.make(["a", "b"], [], [], "understanding"))
+    cases = [
+        (worked_example, lambda s, **kw: understanding, (1, "b"), ("b",)),
+        (two_facts, lambda s, **kw: SaturationResult(right.state_a, wrong.state_b,
+                                                     right.regexes), (2, "a"), ()),
+    ]
+    for scenario, wrong_saturate, where, only_symbolic in cases:
+        reports = []
+        for warm in (False, True):
+            oracle._compare_fact.cache_clear()
+            if warm:
+                assert compare_symbolic(scenario, 3).ok
+            with monkeypatch.context() as patch:
+                patch.setattr(oracle, "saturate", wrong_saturate)
+                reports.append(compare_symbolic(scenario, 3))
+                assert reports[-1] == reference_compare(scenario, 3)
+            assert compare_symbolic(scenario, 3).ok  # nor does the wrong run stay
+        assert reports[0] == reports[1]
+        found = next(m for m in reports[1].mismatches if (m.agent, m.fact) == where)
+        assert found.only_symbolic[:1] == only_symbolic
+
+
+def test_a_warm_cache_still_refuses_a_depth_that_is_not_an_int(worked_example):
+    # an lru key cannot tell 2.0 from 2, or True from 1
+    for depth in (1, 2):
+        assert compare_symbolic(worked_example, depth).ok
+    for bad in (True, 2.0):
+        with pytest.raises(ValueError,
+                           match=rf"^depth must be an int, got {re.escape(repr(bad))}$"):
+            compare_symbolic(worked_example, bad)
+
+
+def test_a_cold_check_compares_each_fact_class_once():
+    # a class is who starts with the fact, and the model: 2 x 2 x 2
+    oracle._compare_fact.cache_clear()
+    assert check_oracle_equivalence(3, 5).status == "pass"
+    info = oracle._compare_fact.cache_info()
+    facts = sum(len(s.facts) for model in ModelKind for s in scenario_grid(3, model))
+    assert (info.misses, info.hits, facts) == (8, 448, 456)
