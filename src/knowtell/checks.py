@@ -137,8 +137,8 @@ def _draw_tell(blocks: Sequence[Sequence[Word]], total: int,
     first) and total, the sum of their lengths: (the block it lands in, the
     word), or None when total is 0. One rng.randrange(total) indexes the
     blocks one after another, which draws exactly as rng.choice over their
-    concatenation would. Each block is the sender's `members` list, so
-    `_tell_fact` may take the word as is."""
+    concatenation would, and as ck-dynamics draws inline. Each block is the
+    sender's `members` list, so `_tell_fact` may take the word as is."""
     if not total:
         return None
     index = rng.randrange(total)
@@ -173,21 +173,21 @@ def check_ck_dynamics(traces: int = CheckConfig.traces,
     check would pass unexercised.
 
     No rule mixes facts: a trace is a language pair per fact, and a tell is
-    `dynamics._tell_fact` on one pair; the n-th tell leads to prefix n. A
-    language is scanned when a scenario first reaches it: its four start
-    languages, each own* or the empty language, then each side of a pair a
-    tell changes, side 1 first. The real rule leaves the sender's language
-    as it was, and so already scanned. Each trace keeps its candidate
-    blocks in draw order with their running total, started from the
-    scenario's member lists, so a draw asks no cache. A tell grows the
-    receiver's language only; its block is listed again when the next draw
-    needs it, and the sender's block at once should a broken rule change
-    the sender's language too.
+    `dynamics._tell_fact` on one pair, its one call per tell, where tests
+    observe the walk; the n-th tell leads to prefix n. A language is scanned
+    when a scenario first reaches it: its four start languages, each own* or
+    the empty language, then each side of a pair a tell changes, side 1
+    first; the real rule leaves the sender's, already scanned, as it was.
+    Each trace keeps its candidate blocks in draw order with their running
+    total, started from the scenario's member lists, and draws inline as
+    `_draw_tell` would, from one `getrandbits`: a draw asks no cache. A tell
+    grows the receiver's language only; its block is listed again when the
+    next draw needs it, and the sender's at once should a broken rule change it.
     """
     _require_count("traces", traces, 1)
     _require_seed(seed)
     started = time.perf_counter()
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
     violations: list[Violation] = []
     count = 0
     facts = FACT_POOL[:2]
@@ -223,16 +223,26 @@ def check_ck_dynamics(traces: int = CheckConfig.traces,
             for trace_index in range(traces):
                 pairs, blocks, total = dict(start), start_blocks[:], start_total
                 stale = grown = None
-                for step_index in range(1, rng.randint(0, TRACE_LENGTH) + 1):
+                length = TRACE_LENGTH + 1
+                while length > TRACE_LENGTH:  # randint(0, TRACE_LENGTH), as below
+                    length = getrandbits((TRACE_LENGTH + 1).bit_length())
+                for step_index in range(1, length + 1):
                     if stale is not None:  # the last tell grew this block's language
                         words = members(grown, SAMPLE_DEPTH)
                         total += len(words) - len(blocks[stale])
                         blocks[stale] = words
                         stale = None
-                    draw = _draw_tell(blocks, total, rng)
-                    if draw is None:
+                    if not total:
                         break
-                    block, word = draw
+                    # _draw_tell inline: randrange(total) as `random` draws it
+                    index = total
+                    while index >= total:
+                        index = getrandbits(total.bit_length())
+                    block = 0
+                    while index >= len(blocks[block]):
+                        index -= len(blocks[block])
+                        block += 1
+                    word = blocks[block][index]
                     sender, fact, other = order[block]
                     before = pairs[fact]
                     after = pairs[fact] = _tell_fact(before, sender, word, understanding)

@@ -245,10 +245,10 @@ def _rebuild() -> None:
 
 # Entries per language-keyed cache, sized from the traffic. Unbounded,
 # `check --seed 42` leaves 2,537 entries and 13,187 hits in _union_tail,
-# 23 in from_ast and 661 in members (10,618 hits). At 1,024
-# entries _union_tail misses 2,550 times (2,432 at seed 1, 2,469 at seed 7),
-# under 1% of its hits lost; at 256 it misses 4,175 times, which slows the
-# check by about a fifth. A long trace of tells rarely hits it at all.
+# 23 in from_ast and 661 in members (9,722 hits). At 1,024 entries members
+# keeps all 661 and _union_tail misses 2,550 times (2,432 at seed 1, 2,469 at
+# seed 7), under 1% of its hits lost; at 256 it misses 4,175 times and members
+# 867, which slows the checks by about 15%. A long trace rarely hits it at all.
 CACHE_SIZE = 1024
 
 

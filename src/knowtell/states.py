@@ -57,6 +57,11 @@ class Scenario(Record):
 
     def __init__(self, facts: tuple[str, ...], side_a: frozenset[str],
                  side_b: frozenset[str], model: ModelKind | str):
+        # a tuple and frozensets keep the record immutable; `make` normalises
+        for label, value, kind in (("facts", facts, tuple), ("side_a", side_a, frozenset),
+                                   ("side_b", side_b, frozenset)):
+            if not isinstance(value, kind):
+                raise ScenarioError(f"{label} must be a {kind.__name__}, got {value!r}")
         seen = set()
         for fact in facts:
             check_fact(fact)

@@ -50,11 +50,19 @@ def blocks_of(pairs, depth):
     return [members(pair[side], depth) for side in (0, 1) for pair in pairs.values()]
 
 
-def drawing_pairs():
-    """The per-fact language pairs of the check that is drawing, read from
-    its frame: a draw is handed only their member lists. Called from a
-    `_draw_tell` hook."""
-    return sys._getframe(2).f_locals["pairs"]
+def check_locals(*names):
+    """The named local variables of the running check, read from the
+    innermost frame of a `checks` function: called from a hook on
+    `checks._tell_fact`, which each check calls once per tell. A local that
+    the check does not have fails the test by its name."""
+    frame = sys._getframe(1)
+    while frame.f_globals is not checks.__dict__:
+        frame = frame.f_back
+    seen = frame.f_locals
+    missing = [name for name in names if name not in seen]
+    if missing:
+        pytest.fail(f"{frame.f_code.co_name} has no local {', '.join(missing)}")
+    return tuple(seen[name] for name in names)
 
 
 def told(pairs, draw):
@@ -346,38 +354,67 @@ def test_sampler_matches_reference_on_saturated_states():
                               len(facts), 5, 20)
 
 
+def below(getrandbits, n):
+    """randrange(n) as check_ck_dynamics draws it inline, from getrandbits
+    alone: n's bit length of bits, drawn again while n or more."""
+    bits = n.bit_length()
+    index = getrandbits(bits)
+    while index >= n:
+        index = getrandbits(bits)
+    return index
+
+
+def test_the_inline_draw_is_the_stdlib_draw():
+    # ck-dynamics draws a tell and a trace length by the rejection loop that
+    # Random.randrange and randint run, which keeps it on the stream of
+    # _draw_tell, fixpoint-stability's draw; a Python that draws another
+    # way fails here first
+    spread = random.Random(5).sample(range(4097, 2 ** 40), 200)
+    powers = [2 ** k + d for k in range(12, 65) for d in (-1, 0, 1)]
+    inline, stdlib = random.Random(2024), random.Random(2024)
+    for n in [*range(1, 4097), *spread, *powers]:
+        for _ in range(3):
+            assert below(inline.getrandbits, n) == stdlib.randrange(n)
+        assert inline.getstate() == stdlib.getstate(), n
+    for _ in range(200):
+        assert below(inline.getrandbits, TRACE_LENGTH + 1) == stdlib.randint(0, TRACE_LENGTH)
+    assert inline.getstate() == stdlib.getstate()
+
+
+def test_a_hook_that_reads_a_local_the_check_lacks_fails_by_its_name(monkeypatch):
+    def reading(pair, sender, word, understanding):
+        check_locals("pairs", "no_such_local")
+
+    monkeypatch.setattr(checks, "_tell_fact", reading)
+    with pytest.raises(pytest.fail.Exception,
+                       match="^check_ck_dynamics has no local no_such_local$"):
+        check_ck_dynamics(1, 42)
+
+
 def told_stream_digest(monkeypatch, run, depth):
     """SHA-256 over every (sender, fact, suffix, model) that run tells
-    through the check suite's rule: each draw, with the model of the rule
-    call that follows it on the drawn fact's pair. Each draw must be handed
-    the member lists up to depth of the pairs the check holds, and the
-    total of their lengths."""
+    through the check suite's rule, and the number of tells. At each tell
+    the check must hold, in draw order, the member lists up to depth of its
+    pairs and the total of their lengths, and tell a word of the sender's
+    list on the pair it holds for the fact."""
     digest = hashlib.sha256()
-    drawn = []
-
-    def drawing(blocks, total, rng):
-        pairs = drawing_pairs()
-        assert blocks == blocks_of(pairs, depth)
-        assert total == sum(map(len, blocks))
-        draw = _draw_tell(blocks, total, rng)
-        if draw is not None:
-            tell = told(pairs, draw)
-            drawn.append((tell, pairs[tell[1]]))
-        return draw
+    tells = 0
 
     def recording(pair, sender, word, understanding):
-        (drawn_sender, fact, drawn_word), drawn_pair = drawn.pop()
-        assert (drawn_sender, drawn_word, drawn_pair) == (sender, word, pair)
+        nonlocal tells
+        pairs, fact, blocks, total = check_locals("pairs", "fact", "blocks", "total")
+        assert blocks == blocks_of(pairs, depth)
+        assert total == sum(map(len, blocks))
+        assert pair is pairs[fact] and word in members(pair[sender - 1], depth)
+        tells += 1
         suffix = "".join(map(str, word))
         digest.update(f"{sender} {fact} {suffix} "
                       f"{model_of(understanding).value}\n".encode())
         return _tell_fact(pair, sender, word, understanding)
 
-    monkeypatch.setattr(checks, "_draw_tell", drawing)
     monkeypatch.setattr(checks, "_tell_fact", recording)
     run()
-    assert not drawn
-    return digest.hexdigest()
+    return digest.hexdigest(), tells
 
 
 # taken from the sampler that recounted every block before each draw and
@@ -391,9 +428,9 @@ TELL_STREAM_PINS = [
 
 @pytest.mark.parametrize("seed, pinned", TELL_STREAM_PINS, ids=["seed42", "seed1", "seed7"])
 def test_ck_dynamics_tell_stream_is_pinned(monkeypatch, seed, pinned):
-    digest = told_stream_digest(monkeypatch, lambda: check_ck_dynamics(100, seed),
-                                SAMPLE_DEPTH)
-    assert digest == pinned
+    digest, tells = told_stream_digest(monkeypatch, lambda: check_ck_dynamics(100, seed),
+                                       SAMPLE_DEPTH)
+    assert digest == pinned and tells > 14_000
 
 
 @pytest.mark.usefixtures("frozen_heap")
@@ -404,9 +441,10 @@ def test_evicting_every_cache_keeps_the_tell_stream(monkeypatch):
 
 
 def test_fixpoint_stability_tell_stream_is_pinned(monkeypatch):
-    assert told_stream_digest(monkeypatch, check_fixpoint_stability, STABILITY_DEPTH) == (
-        "700b6eca4f1e1cc842bbe6ce11db09e087942290651be6c2e9e335c1c5161cf9"
-    )
+    digest, tells = told_stream_digest(monkeypatch, check_fixpoint_stability,
+                                       STABILITY_DEPTH)
+    assert digest == "700b6eca4f1e1cc842bbe6ce11db09e087942290651be6c2e9e335c1c5161cf9"
+    assert tells > 400
 
 
 def test_the_checks_tell_by_the_rule_that_step_guards(monkeypatch):
@@ -414,19 +452,11 @@ def test_the_checks_tell_by_the_rule_that_step_guards(monkeypatch):
     # fact's pair and the checked step on the whole states agree, and the
     # sender knows the drawn word, which step would have proved again
     tells = grown = 0
-    drawn = []
-
-    def drawing(blocks, total, rng):
-        pairs = drawing_pairs()
-        draw = _draw_tell(blocks, total, rng)
-        if draw is not None:
-            drawn.append((told(pairs, draw), dict(pairs)))
-        return draw
 
     def both(pair, sender, word, understanding):
         nonlocal tells, grown
-        (drawn_sender, fact, drawn_word), pairs = drawn.pop()
-        assert (drawn_sender, drawn_word, pairs[fact]) == (sender, word, pair)
+        pairs, fact = check_locals("pairs", "fact")
+        assert pair is pairs[fact]
         states = tuple(KnowledgeState(agent, {f: p[agent - 1] for f, p in pairs.items()})
                        for agent in (1, 2))
         event = TellEvent(sender, 3 - sender, Sentence(fact, word))
@@ -442,36 +472,36 @@ def test_the_checks_tell_by_the_rule_that_step_guards(monkeypatch):
         grown += core is not pair
         return core
 
-    monkeypatch.setattr(checks, "_draw_tell", drawing)
     monkeypatch.setattr(checks, "_tell_fact", both)
     assert check_ck_dynamics(20, 42).status == "pass"
-    assert tells > grown > 0 and not drawn
+    assert tells > grown > 1_000
 
 
 def test_ck_dynamics_counts_only_the_languages_it_draws_from(monkeypatch):
-    # a grown language is listed when the next draw needs it, so the last
-    # states of a trace are never listed
-    listed, drawn_from = set(), set()
+    # a grown language is listed when the next draw needs it, and that draw
+    # finds a tell, so the last states of a trace are never listed
+    listed, told_from = set(), set()
 
     def listing(lang, depth):
         listed.add(lang)
         return members(lang, depth)
 
-    def drawing(blocks, total, rng):
-        drawn_from.update(itertools.chain.from_iterable(drawing_pairs().values()))
-        return _draw_tell(blocks, total, rng)
+    def telling(pair, sender, word, understanding):
+        [pairs] = check_locals("pairs")
+        told_from.update(itertools.chain.from_iterable(pairs.values()))
+        return _tell_fact(pair, sender, word, understanding)
 
     monkeypatch.setattr(checks, "members", listing)
-    monkeypatch.setattr(checks, "_draw_tell", drawing)
+    monkeypatch.setattr(checks, "_tell_fact", telling)
     check_ck_dynamics(20, 42)
-    assert listed == drawn_from
+    assert listed == told_from and len(told_from) > 300
 
 
 def test_a_draw_reads_no_cache(monkeypatch):
     # ck-dynamics lists each scenario's four start languages once, and after
     # a tell that grew a language, that one language, when a draw follows
     # in the same trace; a draw itself asks no cache
-    calls = draws = followed = 0
+    calls = tells = followed = 0
     grew = False
 
     def listing(lang, depth):
@@ -479,29 +509,40 @@ def test_a_draw_reads_no_cache(monkeypatch):
         calls += 1
         return members(lang, depth)
 
-    def drawing(blocks, total, rng):
-        nonlocal draws, followed, grew
-        draws += 1
-        # a trace's first draw, at step 1, follows no tell of its own trace
-        followed += grew and sys._getframe(1).f_locals["step_index"] > 1
-        grew = False
-        return _draw_tell(blocks, total, rng)
-
     def telling(pair, sender, word, understanding):
-        nonlocal grew
+        nonlocal tells, followed, grew
+        tells += 1
+        # a draw after a growing tell always finds a tell to make; a
+        # trace's first draw, at step 1, follows no tell of its own trace
+        [step_index] = check_locals("step_index")
+        followed += grew and step_index > 1
         after = _tell_fact(pair, sender, word, understanding)
         grew = after is not pair
         return after
 
     monkeypatch.setattr(checks, "members", listing)
-    monkeypatch.setattr(checks, "_draw_tell", drawing)
     monkeypatch.setattr(checks, "_tell_fact", telling)
     report = check_ck_dynamics(100, 42)
     assert report.status == "pass" and followed > 0
     assert calls - 4 * report.scenarios == followed
+    # the draws that find no tell call no rule: replayed, each is the
+    # first draw of a trace of a scenario whose sides both start empty
+    untold, sample = [], sample_tell
+
+    def sampling(*args):
+        event = sample(*args)
+        if event is None:
+            untold.append(at[:3])
+        return event
+
+    monkeypatch.setattr(sys.modules[__name__], "sample_tell", sampling)
+    for at in replay(100, 42):
+        pass
+    assert all(not scenario.side_a and not scenario.side_b and prefix == 0
+               for scenario, _, prefix in untold)
     # a draw used to ask the cache four times, once per (sender, fact)
     # block: 61,612 calls for these 15,403 draws
-    assert draws == 15_403 and calls < 2 * draws
+    assert (tells, len(untold)) == (15_224, 179) and calls < 2 * tells
 
 
 def replay(traces, seed, k=None, mutate=None):
@@ -702,57 +743,55 @@ def test_ck_dynamics_reports_every_violation_in_order(monkeypatch, name):
 def test_every_draw_lists_the_pairs_the_check_holds(monkeypatch, name):
     # these mutants change the sender's language too, whose block the check
     # must then list again at once: the receiver's waits for the next draw
-    draws = 0
+    mutant = VIOLATION_PINS[name][0]()
+    tells = 0
 
-    def drawing(blocks, total, rng):
-        nonlocal draws
-        draws += 1
-        assert blocks == blocks_of(drawing_pairs(), SAMPLE_DEPTH)
+    def telling(pair, sender, word, understanding):
+        nonlocal tells
+        tells += 1
+        pairs, blocks, total = check_locals("pairs", "blocks", "total")
+        assert blocks == blocks_of(pairs, SAMPLE_DEPTH)
         assert total == sum(map(len, blocks))
-        return _draw_tell(blocks, total, rng)
+        return mutant(pair, sender, word, understanding)
 
-    monkeypatch.setattr(checks, "_draw_tell", drawing)
-    monkeypatch.setattr(checks, "_tell_fact", VIOLATION_PINS[name][0]())
-    assert check_ck_dynamics(20, 42).status == "fail" and draws > 3_000
+    monkeypatch.setattr(checks, "_tell_fact", telling)
+    assert check_ck_dynamics(20, 42).status == "fail" and tells > 3_000
 
 
-def walked_prefixes(monkeypatch, traces, seed):
-    """Run check_ck_dynamics(traces, seed) and read its walk at every draw,
-    from the frame: (the report, [((scenario, trace, prefix), per-fact
-    pairs)]), where the prefix counts the tells made before the draw."""
+def walked_prefixes(monkeypatch, traces, seed, rule=_tell_fact):
+    """Run check_ck_dynamics(traces, seed) telling by rule, and read its
+    walk at every tell from the check's locals: (the report, [((scenario,
+    trace, prefix), per-fact pairs)]), where the prefix counts the tells
+    made before this one."""
     walked = []
 
-    def drawing(blocks, total, rng):
-        seen = sys._getframe(1).f_locals
-        walked.append(((seen["scenario"].describe(), seen["trace_index"],
-                        seen["step_index"] - 1), dict(seen["pairs"])))
-        return _draw_tell(blocks, total, rng)
+    def telling(pair, sender, word, understanding):
+        scenario, trace_index, step_index, pairs = check_locals(
+            "scenario", "trace_index", "step_index", "pairs")
+        walked.append(((scenario.describe(), trace_index, step_index - 1), dict(pairs)))
+        return rule(pair, sender, word, understanding)
 
-    monkeypatch.setattr(checks, "_draw_tell", drawing)
+    monkeypatch.setattr(checks, "_tell_fact", telling)
     return check_ck_dynamics(traces, seed), walked
 
 
 @pytest.mark.parametrize("mutate", [None, all_words_on_both_sides, cone_at(())],
                          ids=["plain", "both-universal", "receiver-universal"])
 def test_the_per_fact_walk_loses_nothing_against_whole_states(monkeypatch, mutate):
-    # at every prefix the check draws at, its pairs are the languages of the
+    # at every prefix the check tells at, its pairs are the languages of the
     # replayed states; the mutants of the first growing tell make one or
-    # both sides universal. The check draws, in order, at every prefix of a
-    # trace but the last, and at the last too when it finds no tell there;
+    # both sides universal. The check tells, in order, at every prefix of a
+    # trace but the last, where the trace ends or its draw finds no tell;
     # test_the_checks_tell_by_the_rule_that_step_guards checks the pairs a
     # trace's last tell leads to.
     k = mutate and 1
-    if mutate:
-        monkeypatch.setattr(checks, "_tell_fact", mutant_tell(k, mutate))
-    report, walked = walked_prefixes(monkeypatch, 20, 42)
+    rule = mutant_tell(k, mutate) if mutate else _tell_fact
+    report, walked = walked_prefixes(monkeypatch, 20, 42, rule)
     replayed = {(scenario.describe(), trace, prefix): pairs_of(*states, scenario.facts)
                 for scenario, trace, prefix, _, states in replay(20, 42, k, mutate)}
     keys = list(replayed)
-    inner = {key for key, after in zip(keys, keys[1:]) if key[:2] == after[:2]}
-    order = {key: at for at, key in enumerate(keys)}
-    drawn_at = [order[key] for key, _ in walked]
-    assert drawn_at == sorted(set(drawn_at))
-    assert inner <= {key for key, _ in walked}
+    inner = [key for key, after in zip(keys, keys[1:]) if key[:2] == after[:2]]
+    assert [key for key, _ in walked] == inner
     for key, pairs in walked:
         assert pairs == replayed[key]
     assert len(walked) > 3_000

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import re
 
 import pytest
 
@@ -44,6 +45,23 @@ def test_scenario_validation():
         Scenario.make(["a", "a"], [], [], "communication")
     with pytest.raises(ScenarioError):
         Scenario.make(["a"], [], [], "telepathy")
+
+
+@pytest.mark.parametrize("facts, side_a, side_b, message", [
+    (("a",), ("a",), frozenset(), "side_a must be a frozenset, got ('a',)"),
+    (("a",), frozenset(), (), "side_b must be a frozenset, got ()"),
+    (("a",), {"a"}, frozenset(), "side_a must be a frozenset, got {'a'}"),
+    (["a"], frozenset(), frozenset(), "facts must be a tuple, got ['a']"),
+    ("a", frozenset(), frozenset(), "facts must be a tuple, got 'a'"),
+], ids=["side-tuple", "side-empty-tuple", "side-set", "facts-list", "facts-str"])
+def test_a_scenario_refuses_fields_that_make_would_normalise(facts, side_a, side_b, message):
+    # a tuple side once raised a raw TypeError, and a list or a set built a
+    # record that could change or not be hashed; make still normalises them
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+        Scenario(facts, side_a, side_b, "communication")
+    made = Scenario.make(facts, side_a, side_b, "communication")
+    assert hash(made) == hash(Scenario(("a",), frozenset(side_a), frozenset(side_b),
+                                       ModelKind.COMMUNICATION))
 
 
 def test_scenario_sides():
