@@ -4,10 +4,11 @@ Everything funnels into one canonical form: a complete deterministic
 acceptor, minimized and renumbered breadth-first with letter 1 before
 letter 2. Two acceptors recognize the same language exactly when their
 canonical forms are structurally identical. Union, concatenation and star
-each join their operands' transition rows and run the one subset
-construction, and regexes compile through those operations. These are the
-general operations; `langs` keeps every language in one shared store of
-distinct states and builds a tell's few new states there directly.
+each join their operands' transition rows and run one subset construction;
+a regex runs one over its position automaton, a state per letter
+occurrence plus a start, however many nodes it has. These are the general
+operations; `langs` keeps every language in one shared store of distinct
+states and builds a tell's few new states there directly.
 """
 
 from __future__ import annotations
@@ -78,26 +79,54 @@ LETTER_DFA = {
 
 
 def compile_regex(r: Regex) -> Dfa:
-    """Structural recursion over the canonical operations on acceptors."""
+    """The canonical acceptor of r by the subset construction over r's
+    positions (Glushkov): sets of letter occurrences, numbered from 1 after
+    the start 0, where any of follow[p] may come after position p."""
     match r:
         case Empty():
             return EMPTY_DFA
         case Eps():
             return EPS_DFA
-        case Lit(letter) if letter in LETTER_DFA:
+        case Lit(letter):
             return LETTER_DFA[letter]
-        case Alt(a, b):
-            return product_dfa(compile_regex(a), compile_regex(b))
-        case Cat(a, b):
-            return concat_dfa(compile_regex(a), compile_regex(b))
-        case Star(body):
-            return star_dfa(compile_regex(body))
-        case Plus(body):
-            inner = compile_regex(body)
-            return concat_dfa(inner, star_dfa(inner))
-        case Opt(body):
-            return product_dfa(compile_regex(body), EPS_DFA)
-    raise TypeError(f"not a regex node: {r!r}")
+    letters = [0]  # the letter at each position
+    follow = [set()]
+
+    def visit(r: Regex) -> tuple[bool, frozenset, frozenset]:
+        # r's nullable flag, first and last positions; adds r's follows
+        match r:
+            case Empty() | Eps():
+                return type(r) is Eps, frozenset(), frozenset()
+            case Lit(letter):
+                here = frozenset([len(letters)])
+                letters.append(letter)
+                follow.append(set())
+                return False, here, here
+            case Alt(a, b):
+                (empty_a, first_a, last_a), (empty_b, first_b, last_b) = visit(a), visit(b)
+                return empty_a or empty_b, first_a | first_b, last_a | last_b
+            case Cat(a, b):
+                (empty_a, first_a, last_a), (empty_b, first_b, last_b) = visit(a), visit(b)
+                for p in last_a:
+                    follow[p] |= first_b
+                return (empty_a and empty_b, first_a | first_b if empty_a else first_a,
+                        last_a | last_b if empty_b else last_b)
+            case Star(body) | Plus(body):
+                empty, first, last = visit(body)
+                for p in last:
+                    follow[p] |= first
+                return empty or type(r) is Star, first, last
+            case Opt(body):
+                return True, *visit(body)[1:]
+        raise TypeError(f"not a regex node: {r!r}")
+
+    def moves(subset: frozenset) -> list[frozenset]:
+        after = set().union(*[follow[p] for p in subset])
+        return [frozenset([p for p in after if letters[p] == letter]) for letter in (1, 2)]
+
+    empty, follow[0], last = visit(r)
+    # the start accepts when r holds the empty word
+    return _subsets(frozenset([0]), moves, last | {0} if empty else last)
 
 
 def determinize(delta: tuple[tuple[int, int], ...], eps: dict[int, tuple[int, ...]],
@@ -116,23 +145,28 @@ def determinize(delta: tuple[tuple[int, int], ...], eps: dict[int, tuple[int, ..
                     stack.append(nxt)
         return frozenset(out)
 
-    first = closure(starts)
-    index = {first: 0}
-    order = [first]
+    def moves(subset: frozenset) -> list[frozenset]:
+        return [closure({delta[state][k] for state in subset}) for k in (0, 1)]
+
+    return _subsets(closure(starts), moves, finals)
+
+
+def _subsets(start, moves, finals) -> Dfa:
+    """The canonical acceptor whose states are the subsets reached from
+    start: moves(subset) gives the subsets after letters 1 and 2, and a
+    subset accepts when it meets finals."""
+    index = {start: 0}
+    order = [start]
     rows = []
-    i = 0
-    while i < len(order):
+    for subset in order:
         row = []
-        for letter_index in (0, 1):
-            subset = closure({delta[state][letter_index] for state in order[i]})
-            if subset not in index:
-                index[subset] = len(order)
-                order.append(subset)
-            row.append(index[subset])
+        for nxt in moves(subset):
+            if nxt not in index:
+                index[nxt] = len(order)
+                order.append(nxt)
+            row.append(index[nxt])
         rows.append(tuple(row))
-        i += 1
-    accepting = tuple(bool(subset & finals) for subset in order)
-    return canonical_dfa(Dfa(tuple(rows), accepting))
+    return canonical_dfa(Dfa(tuple(rows), tuple([bool(subset & finals) for subset in order])))
 
 
 def canonical_dfa(dfa: Dfa) -> Dfa:

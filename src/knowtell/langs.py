@@ -8,8 +8,10 @@ reaches are exactly its minimal acceptor. A new state goes in by one lookup
 of its acceptance and successors, exact because the store is minimal, and
 a cycle, which only a minimal acceptor brings and always whole, by one
 lookup of its shape, so a tell adds only the states it needs and renumbers
-nothing. `Lang(dfa)` minimises any acceptor first, so the one
-universal state is `ALL_WORDS.root`. `Lang.dfa` is rendered on each read.
+nothing. `Lang(dfa)`, the public door, minimises any acceptor first, so
+the one universal state is `ALL_WORDS.root`; the operations here insert
+the canonical acceptors that `automata` returns as they are. `Lang.dfa`
+is rendered on each read.
 
 The intern table holds its languages weakly, and past ``STORE_CAP``
 states the store is rebuilt from the live ones. The lru caches below keep
@@ -255,7 +257,7 @@ CACHE_SIZE = 1024
 @lru_cache(maxsize=CACHE_SIZE)
 def from_ast(r: Regex) -> Lang:
     """Compile a regex AST to its language."""
-    return Lang(compile_regex(r))
+    return _lang(_insert(compile_regex(r)))
 
 
 def from_regex(text: str) -> Lang:
@@ -289,7 +291,7 @@ OWN_CHAINS: dict[int, Lang]
 def union(a: Lang, b: Lang) -> Lang:
     if a is b:
         return a
-    return Lang(product_dfa(a.dfa, b.dfa))
+    return _lang(_insert(product_dfa(a.dfa, b.dfa)))
 
 
 def _tell_tail(mark: int, optional: bool) -> Regex:
@@ -372,11 +374,11 @@ def _union_tail(lang: Lang, word: Word, mark: int, optional: bool) -> Lang:
 
 
 def concat(a: Lang, b: Lang) -> Lang:
-    return Lang(concat_dfa(a.dfa, b.dfa))
+    return _lang(_insert(concat_dfa(a.dfa, b.dfa)))
 
 
 def star(a: Lang) -> Lang:
-    return Lang(star_dfa(a.dfa))
+    return _lang(_insert(star_dfa(a.dfa)))
 
 
 def plus(a: Lang) -> Lang:

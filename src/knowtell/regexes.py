@@ -40,7 +40,13 @@ class Eps(Regex):
 
 
 class Lit(Regex):
-    __slots__ = ("letter",)  # 1 or 2
+    __slots__ = ("letter",)
+
+    def __init__(self, letter: int):
+        # the type test keeps out True and 1.0, which compare equal to 1
+        if type(letter) is not int or letter not in (1, 2):
+            raise ValueError(f"letter must be 1 or 2, got {letter!r}")
+        super().__init__(letter)
 
 
 class Alt(Regex):

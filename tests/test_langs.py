@@ -38,7 +38,8 @@ from knowtell.langs import (
     union,
     union_tail,
 )
-from knowtell.regexes import word_regex
+from knowtell.regexes import (Alt, Cat, Empty, Eps, Lit, Opt, Plus, Star, parse_regex,
+                              regex_to_text, word_regex)
 from knowtell.sentences import parse_sentence
 from knowtell.states import Scenario, common_knowledge, initial_state, knows
 from tests.test_regexes import regex_asts
@@ -137,7 +138,8 @@ def test_contains_cone_examples():
     lambda word: contains_cone(ALL_WORDS, word),
     lambda word: prefixed(word, EPSILON),
     lambda word: union_tail(EMPTY, word, 1, False),
-], ids=["accepts", "contains", "contains_cone", "prefixed", "union_tail"])
+    lambda word: from_ast(word_regex(word)),
+], ids=["accepts", "contains", "contains_cone", "prefixed", "union_tail", "regex"])
 def test_word_walks_reject_the_same_bad_letter(walk):
     # True and 2.0 compare equal to a letter, so a cached answer for the
     # int word must not answer for them
@@ -591,12 +593,89 @@ def test_any_complete_acceptor_goes_in_as_its_minimal_language():
     assert lang is ALL_WORDS and lang.dfa == ALL_WORDS.dfa
     assert subset(ALL_WORDS, lang) and contains_cone(lang, ()) and cone_word(lang) == ()
     assert_one_universal_state()
+    # states 0 and 1 both hold 1*, and no state reaches state 3
+    ones = automata.Dfa(((1, 2), (0, 2), (2, 2), (3, 0)), (True, True, False, True))
+    assert Lang(ones) is from_regex("1*")
 
 
 @settings(max_examples=200, deadline=None)
 @given(complete_dfas())
 def test_minimising_drops_the_unreachable_states(dfa):
     assert canonical_dfa(dfa) == canonical_dfa(renumber(dfa.delta, dfa.accepting, 0))
+
+
+def stepwise_compile(r):
+    """The regex compiler that `compile_regex` replaced, kept as its
+    reference: structural recursion over the leaf acceptors and the stepwise
+    operations, one subset construction and one minimisation per node."""
+    match r:
+        case Empty():
+            return automata.EMPTY_DFA
+        case Eps():
+            return automata.EPS_DFA
+        case Lit(letter):
+            return automata.LETTER_DFA[letter]
+        case Alt(a, b):
+            return automata.product_dfa(stepwise_compile(a), stepwise_compile(b))
+        case Cat(a, b):
+            return automata.concat_dfa(stepwise_compile(a), stepwise_compile(b))
+        case Star(body):
+            return automata.star_dfa(stepwise_compile(body))
+        case Plus(body):
+            inner = stepwise_compile(body)
+            return automata.concat_dfa(inner, automata.star_dfa(inner))
+        case Opt(body):
+            return automata.product_dfa(stepwise_compile(body), automata.EPS_DFA)
+
+
+def compile_without_determinize(r):
+    # compile_regex runs its own subset construction, never determinize's
+    def forbidden(*args):
+        raise AssertionError("compile_regex called determinize")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(automata, "determinize", forbidden)
+        return compile_regex(r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(regex_asts)
+def test_compile_regex_is_the_stepwise_compile(ast):
+    assert compile_without_determinize(ast) == stepwise_compile(ast)
+
+
+def test_compile_regex_is_the_stepwise_compile_on_the_limits(monkeypatch):
+    compiled = []  # every regex _solve_fact compiles, each class's two limits first
+
+    def recorded(r):
+        compiled.append(r)
+        return from_ast(r)
+
+    monkeypatch.setattr(dynamics, "from_ast", recorded)
+    limits = []
+    for in_a, in_b, understanding in itertools.product((False, True), repeat=3):
+        del compiled[:]
+        texts = _solve_fact.__wrapped__(in_a, in_b, understanding)[2:]
+        limits += compiled[:2]
+        assert [regex_to_text(r) for r in compiled[:2]] == list(texts)
+        for r in compiled:
+            assert compile_without_determinize(r) == stepwise_compile(r)
+    assert len(limits) == 16
+
+
+def test_from_ast_minimises_a_compiled_regex_once(monkeypatch):
+    minimised = []
+
+    def counted(dfa):
+        minimised.append(dfa)
+        return canonical_dfa(dfa)
+
+    monkeypatch.setattr(automata, "canonical_dfa", counted)
+    monkeypatch.setattr(langs, "canonical_dfa", counted)
+    # compiled past the cache, which may hold the regex already
+    lang = from_ast.__wrapped__(parse_regex("(12|2)*1?"))
+    assert len(minimised) == 1
+    assert lang is from_regex("(12|2)*1?")
 
 
 def test_queries_answer_with_bools(worked_example):
