@@ -145,8 +145,8 @@ def test_criterion_6_oracle_equivalence():
 
 
 def test_criterion_7_fixpoint_stability():
-    with _Criterion(7, "sampled tells against saturated states change "
-                       "nothing", budget=10.0) as c:
+    with _Criterion(7, "every held word up to depth 5, told against saturated "
+                       "states, changes nothing", budget=10.0) as c:
         report = check_fixpoint_stability()
         assert report.scenarios == 10
         assert report.violations == ()

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from knowtell import checks, oracle
+from knowtell import checks, dynamics, oracle
 from knowtell.checks import (
     FACT_POOL,
     SAMPLE_DEPTH,
@@ -17,7 +17,6 @@ from knowtell.checks import (
     CheckConfig,
     CheckReport,
     Violation,
-    _draw_tell,
     check_ck_dynamics,
     check_fixpoint_stability,
     check_language_equivalence_props,
@@ -72,12 +71,28 @@ def told(pairs, draw):
     return side + 1, list(pairs)[at], word
 
 
+def draw_tell(blocks, total, rng):
+    """A uniformly random truthful tell, given its candidate blocks in draw
+    order (each sender's ranked member list of each fact, side 1's blocks
+    first) and total, the sum of their lengths: (the block it lands in, the
+    word), or None when total is 0. One rng.randrange(total) indexes the
+    blocks one after another, which draws exactly as rng.choice over their
+    concatenation would: the reference for ck-dynamics' inline draw."""
+    if not total:
+        return None
+    index = rng.randrange(total)
+    for block, words in enumerate(blocks):
+        if index < len(words):
+            return block, words[index]
+        index -= len(words)
+
+
 def sample_tell(state_a, state_b, facts, rng, depth):
-    """One draw, as the checks make it, as the TellEvent it stands for; None
-    when no tell is possible."""
+    """One draw, as ck-dynamics makes it, as the TellEvent it stands for;
+    None when no tell is possible."""
     pairs = pairs_of(state_a, state_b, facts)
     blocks = blocks_of(pairs, depth)
-    draw = _draw_tell(blocks, sum(map(len, blocks)), rng)
+    draw = draw_tell(blocks, sum(map(len, blocks)), rng)
     if draw is None:
         return None
     sender, fact, word = told(pairs, draw)
@@ -191,6 +206,55 @@ def test_fixpoint_stability_passes():
     report = check_fixpoint_stability()
     assert report.status == "pass"
     assert report.scenarios == 10
+
+
+def test_the_stability_table_covers_every_fact_class():
+    # the check tells each saturated pair of the table, so it is exhaustive
+    # only while the table reaches all 8 (in side 1, in side 2, model) classes
+    reached = {(fact in side_a, fact in side_b, model)
+               for facts, side_a, side_b, model in STABILITY_SCENARIOS for fact in facts}
+    assert reached == set(itertools.product((False, True), (False, True),
+                                            ("communication", "understanding")))
+
+
+def test_fixpoint_stability_tells_every_held_word_once(monkeypatch):
+    # every (pair, sender, word, model) the table's saturated pairs allow,
+    # listed by contains over every word up to the depth, not by members
+    words = [w for n in range(STABILITY_DEPTH + 1)
+             for w in itertools.product((1, 2), repeat=n)]
+    expected = set()
+    for facts, side_a, side_b, model in STABILITY_SCENARIOS:
+        result = saturate(Scenario.make(facts, side_a, side_b, model))
+        for pair in pairs_of(result.state_a, result.state_b, facts).values():
+            expected.update((pair, sender, word, model == "understanding")
+                            for sender in (1, 2) for word in words
+                            if pair[sender - 1].contains(word))
+    told = []
+
+    def recording(pair, sender, word, understanding):
+        told.append((pair, sender, word, understanding))
+        return _tell_fact(pair, sender, word, understanding)
+
+    monkeypatch.setattr(checks, "_tell_fact", recording)
+    assert check_fixpoint_stability().status == "pass"
+    assert set(told) == expected
+    assert len(told) == len(expected) == 378
+
+
+def test_fixpoint_stability_fails_when_side_1s_bare_tell_gains_as_understanding(monkeypatch):
+    # the mutant census row: a bare tell from side 1 also adds
+    # understanding's bare gain in communication, which no other check sees
+    union_tail = dynamics._union_tail
+
+    def mutant(lang, word, mark, optional):
+        return union_tail(lang, word, mark, optional or (word == () and mark == 1))
+
+    monkeypatch.setattr(dynamics, "_union_tail", mutant)
+    report = check_fixpoint_stability()
+    assert report.status == "fail"
+    assert report.violations[0] == Violation(
+        "facts={a,b,c} side1={a} side2={b} model=communication",
+        "telling 'a' from side 1 grew the language of {a}")
 
 
 def test_oracle_equivalence_passes():
@@ -367,7 +431,7 @@ def below(getrandbits, n):
 def test_the_inline_draw_is_the_stdlib_draw():
     # ck-dynamics draws a tell and a trace length by the rejection loop that
     # Random.randrange and randint run, which keeps it on the stream of
-    # _draw_tell, fixpoint-stability's draw; a Python that draws another
+    # draw_tell, the tests' reference sampler; a Python that draws another
     # way fails here first
     spread = random.Random(5).sample(range(4097, 2 ** 40), 200)
     powers = [2 ** k + d for k in range(12, 65) for d in (-1, 0, 1)]
@@ -391,21 +455,21 @@ def test_a_hook_that_reads_a_local_the_check_lacks_fails_by_its_name(monkeypatch
         check_ck_dynamics(1, 42)
 
 
-def told_stream_digest(monkeypatch, run, depth):
+def told_stream_digest(monkeypatch, run):
     """SHA-256 over every (sender, fact, suffix, model) that run tells
     through the check suite's rule, and the number of tells. At each tell
-    the check must hold, in draw order, the member lists up to depth of its
-    pairs and the total of their lengths, and tell a word of the sender's
-    list on the pair it holds for the fact."""
+    ck-dynamics must hold, in draw order, the member lists up to
+    SAMPLE_DEPTH of its pairs and the total of their lengths, and tell a
+    word of the sender's list on the pair it holds for the fact."""
     digest = hashlib.sha256()
     tells = 0
 
     def recording(pair, sender, word, understanding):
         nonlocal tells
         pairs, fact, blocks, total = check_locals("pairs", "fact", "blocks", "total")
-        assert blocks == blocks_of(pairs, depth)
+        assert blocks == blocks_of(pairs, SAMPLE_DEPTH)
         assert total == sum(map(len, blocks))
-        assert pair is pairs[fact] and word in members(pair[sender - 1], depth)
+        assert pair is pairs[fact] and word in members(pair[sender - 1], SAMPLE_DEPTH)
         tells += 1
         suffix = "".join(map(str, word))
         digest.update(f"{sender} {fact} {suffix} "
@@ -428,8 +492,7 @@ TELL_STREAM_PINS = [
 
 @pytest.mark.parametrize("seed, pinned", TELL_STREAM_PINS, ids=["seed42", "seed1", "seed7"])
 def test_ck_dynamics_tell_stream_is_pinned(monkeypatch, seed, pinned):
-    digest, tells = told_stream_digest(monkeypatch, lambda: check_ck_dynamics(100, seed),
-                                       SAMPLE_DEPTH)
+    digest, tells = told_stream_digest(monkeypatch, lambda: check_ck_dynamics(100, seed))
     assert digest == pinned and tells > 14_000
 
 
@@ -438,13 +501,6 @@ def test_evicting_every_cache_keeps_the_tell_stream(monkeypatch):
     # the seed-42 pin, replayed through a tell that empties every cache first
     monkeypatch.setattr(sys.modules[__name__], "_tell_fact", evicting(_tell_fact))
     test_ck_dynamics_tell_stream_is_pinned(monkeypatch, *TELL_STREAM_PINS[0])
-
-
-def test_fixpoint_stability_tell_stream_is_pinned(monkeypatch):
-    digest, tells = told_stream_digest(monkeypatch, check_fixpoint_stability,
-                                       STABILITY_DEPTH)
-    assert digest == "700b6eca4f1e1cc842bbe6ce11db09e087942290651be6c2e9e335c1c5161cf9"
-    assert tells > 400
 
 
 def test_the_checks_tell_by_the_rule_that_step_guards(monkeypatch):
