@@ -19,12 +19,11 @@ from functools import lru_cache
 from typing import Sequence
 
 from . import regexes
-from .langs import Lang, _tell_tail, _union_tail, concat, from_ast, union
+from .langs import Lang, _accepting, _reach, _tell_tail, _union_tail, concat, from_ast, union
 from .records import Record
 from .regexes import Lit, alt, cat, regex_to_text
 from .sentences import Sentence, Word, check_agent
-from .states import (KnowledgeState, ModelKind, Scenario, initial_state, knows,
-                     model_kind)
+from .states import KnowledgeState, ModelKind, Scenario, initial_state, model_kind
 
 
 class TellError(ValueError):
@@ -83,9 +82,10 @@ def step(state_a: KnowledgeState, state_b: KnowledgeState, event: TellEvent,
         raise ValueError("step takes the states of sides 1 and 2 in that order, "
                          f"got sides {state_a.agent} and {state_b.agent}")
     states, fact = (state_a, state_b), event.message.fact
-    if not knows(states[event.sender - 1], event.message):
-        raise TellError(f"side {event.sender} does not know '{event.message}'")
     pair = (state_a.lang_for(fact), state_b.lang_for(fact))  # UnknownFactError
+    # the sender's language for the fact, walked as `knows` walks it
+    if not _accepting[_reach(pair[event.sender - 1], event.message.suffix)]:
+        raise TellError(f"side {event.sender} does not know '{event.message}'")
     after = _tell_fact(pair, event.sender, event.message.suffix, understanding)
     if after is pair:
         return state_a, state_b

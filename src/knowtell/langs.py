@@ -178,12 +178,6 @@ def _match(accepting: list[bool], rows: list[tuple[int, int]], state: int) -> li
     return where
 
 
-def row_for(letter: int, target: int, other: int) -> tuple[int, int]:
-    """The transition row that reads letter to target and the other letter
-    to other."""
-    return (target, other) if letter == 1 else (other, target)
-
-
 def _sccs(delta) -> list[list[int]]:
     """The strongly connected components of the states reachable from 0,
     sinks first (Tarjan's algorithm, without recursion). A state is on the
@@ -272,7 +266,7 @@ def prefixed(word: Word, lang: Lang) -> Lang:
     walk(_delta, lang.root, word)  # checks the letters
     state, dead = lang.root, EMPTY.root
     for letter in reversed(word):
-        state = _add(False, row_for(letter, state, dead))
+        state = _add(False, (state, dead) if letter == 1 else (dead, state))
     return _lang(state)
 
 
@@ -322,11 +316,11 @@ def _union_tail(lang: Lang, word: Word, mark: int, optional: bool) -> Lang:
 
     With q the state that word leads to, the result shares every state of
     the store and adds the few states the tell needs, each added by its
-    signature once its successors are known: first, for each state s on the
-    own-mark runs from q's mark successor (and, when optional, its own
-    successor), the state of L_s + own*; then q with T; then the states
-    along word, from the last letter back. The store is minimal, so when
-    q's state is q itself the tell adds nothing, and lang comes back.
+    signature once its successors are known: first, by `_loop`, the state
+    of L_s + own* for each state s on the own-mark runs from q's mark
+    successor (and, when optional, its own successor); then q with T; then
+    the states along word, from the last letter back. The store is minimal,
+    so when q's state is q itself the tell adds nothing, and lang comes back.
 
     A run stops at the empty state or at own*, where L_s + own* is own*. A
     language that tells build from the start languages is own* or empty plus
@@ -344,33 +338,38 @@ def _union_tail(lang: Lang, word: Word, mark: int, optional: bool) -> Lang:
 
     chain = OWN_CHAINS[own].root  # read here, since a rebuild renews roots
     looped = {EMPTY.root: chain, chain: chain}  # s -> the state of L_s + own*
-
-    def loop(seed: int) -> int | None:
-        # the state of L_seed + own*, or None for a closed run that rejects
-        run, s = {}, seed
-        while s not in looped:
-            if s in run:
-                if not all(accepting[t] for t in run):
-                    return None
-                looped.update(zip(run, run))
-                return seed
-            run[s] = None
-            s = delta[s][own - 1]
-        for s in reversed(run):
-            after = looped[delta[s][own - 1]]
-            looped[s] = _add(True, row_for(own, after, delta[s][mark - 1]))
-        return looped[seed]
-
-    after_own = loop(delta[q][own - 1]) if optional else delta[q][own - 1]
-    after_mark = None if after_own is None else loop(delta[q][mark - 1])
+    after_mark, after_own = delta[q] if mark == 1 else delta[q][::-1]
+    if optional:
+        after_own = _loop(after_own, own, looped)
+    after_mark = None if after_own is None else _loop(after_mark, own, looped)
     if after_mark is None:
         return union(lang, prefixed(word, from_ast(_tell_tail(mark, optional))))
-    state = _add(accepting[q] or optional, row_for(mark, after_mark, after_own))
+    state = _add(accepting[q] or optional,
+                 (after_mark, after_own) if mark == 1 else (after_own, after_mark))
     if state == q:
         return lang
     for letter, s in zip(reversed(word), reversed(path)):
-        state = _add(accepting[s], row_for(letter, state, delta[s][2 - letter]))
+        one, two = delta[s]
+        state = _add(accepting[s], (state, two) if letter == 1 else (one, state))
     return _lang(state)
+
+
+def _loop(seed: int, own: int, looped: dict[int, int]) -> int | None:
+    """The state of L_seed + own*, or None for a closed run that rejects;
+    looped, s -> the state of L_s + own*, gains the run's states."""
+    run, s = {}, seed
+    while s not in looped:
+        if s in run:
+            if not all(_accepting[t] for t in run):
+                return None
+            looped.update(zip(run, run))
+            return seed
+        run[s] = None
+        s = _delta[s][own - 1]
+    for s in reversed(run):
+        one, two = _delta[s]
+        looped[s] = _add(True, (looped[one], two) if own == 1 else (one, looped[two]))
+    return looped[seed]
 
 
 def concat(a: Lang, b: Lang) -> Lang:
@@ -398,6 +397,14 @@ def subset(a: Lang, b: Lang) -> bool:
 def contains_cone(lang: Lang, word: Word) -> bool:
     """Does the word lead to the universal state, so lang holds its whole cone?"""
     return walk(_delta, lang.root, word) == ALL_WORDS.root
+
+
+def _reach(lang: Lang, word: Word) -> int:
+    """The state word leads lang's root to, unchecked: for a Sentence's suffix."""
+    state = lang.root
+    for letter in word:
+        state = _delta[state][letter - 1]
+    return state
 
 
 def cone_word(lang: Lang) -> Word | None:

@@ -11,9 +11,9 @@ from __future__ import annotations
 import enum
 from typing import Iterable, Mapping
 
-from .langs import EMPTY, OWN_CHAINS, Lang, contains_cone
+from .langs import ALL_WORDS, EMPTY, OWN_CHAINS, Lang, _accepting, _reach
 from .records import Record
-from .sentences import Sentence, check_agent, check_fact
+from .sentences import Sentence, SentenceError, check_agent, check_fact
 
 
 class ScenarioError(ValueError):
@@ -125,8 +125,12 @@ def initial_state(agent: int, scenario: Scenario) -> KnowledgeState:
 
 
 def knows(state: KnowledgeState, sentence: Sentence) -> bool:
-    """Is the sentence in the agent's language?"""
-    return state.lang_for(sentence.fact).contains(sentence.suffix)
+    """Is the sentence in the agent's language? A Sentence proved its marks
+    when it was built, so its suffix is walked unchecked; SentenceError for
+    anything else."""
+    if not isinstance(sentence, Sentence):
+        raise SentenceError(f"expected a Sentence, got {type(sentence).__name__}")
+    return _accepting[_reach(state.lang_for(sentence.fact), sentence.suffix)] == 1
 
 
 def known_facts(state: KnowledgeState) -> frozenset[str]:
@@ -140,10 +144,13 @@ def common_knowledge(state_a: KnowledgeState, state_b: KnowledgeState,
 
     A bare fact is common knowledge exactly when its whole cone, every
     suffix word at all, sits inside both agents' languages for that fact.
+    The sentence is walked as in `knows`.
     """
-    fact, suffix = sentence.fact, sentence.suffix
-    return (contains_cone(state_a.lang_for(fact), suffix)
-            and contains_cone(state_b.lang_for(fact), suffix))
+    if not isinstance(sentence, Sentence):
+        raise SentenceError(f"expected a Sentence, got {type(sentence).__name__}")
+    fact, suffix, universal = sentence.fact, sentence.suffix, ALL_WORDS.root
+    return (_reach(state_a.lang_for(fact), suffix) == universal
+            and _reach(state_b.lang_for(fact), suffix) == universal)
 
 
 def language_equal(state_a: KnowledgeState, state_b: KnowledgeState) -> bool:

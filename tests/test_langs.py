@@ -17,6 +17,7 @@ from knowtell.langs import (
     EPSILON,
     LETTER,
     MAX_ORACLE_DEPTH,
+    OWN_CHAINS,
     Lang,
     concat,
     cone,
@@ -702,6 +703,21 @@ def test_union_tail_is_union_with_gain(lang, word, again, sender, understanding)
     for second in (1, 2):
         assert (union_tail(grown, again, second, understanding)
                 is union_with_gain(grown, again, second, understanding))
+
+
+# words as long as a trace-session message, so that a tell rebuilds a long path
+long_words_st = st.lists(st.sampled_from((1, 2)), max_size=12).map(tuple)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(langs_st, minimal_dfa_langs(), st.sampled_from([EMPTY, *OWN_CHAINS.values()])),
+       st.lists(st.tuples(long_words_st, st.sampled_from((1, 2))), min_size=1, max_size=4),
+       st.booleans())
+def test_union_tail_is_union_with_gain_on_long_words(lang, tells, understanding):
+    for word, sender in tells:
+        grown = union_tail(lang, word, sender, understanding)
+        assert grown is union_with_gain(lang, word, sender, understanding)
+        lang = grown
 
 
 def assert_enumeration_ops_agree(lang):

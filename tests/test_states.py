@@ -2,15 +2,16 @@ import functools
 import itertools
 import random
 import re
+from types import SimpleNamespace
 
 import pytest
 
 from knowtell.checks import subsets_of
 from knowtell.dynamics import saturate, step
-from knowtell.langs import ALL_WORDS, LETTER, concat, from_ast, from_regex, subset
+from knowtell.langs import ALL_WORDS, LETTER, concat, contains_cone, from_ast, from_regex, subset
 from knowtell.oracle import bounded_closure
 from knowtell.regexes import word_regex
-from knowtell.sentences import Sentence, parse_sentence
+from knowtell.sentences import Sentence, SentenceError, parse_sentence
 from knowtell.states import (
     KnowledgeState,
     ModelKind,
@@ -185,6 +186,55 @@ def test_common_knowledge_matches_cone_inclusion():
                 assert answer == ck_by_cone_inclusion(state_a, state_b, sentence)
                 answers.add(answer)
     assert answers == {True, False}
+
+
+@pytest.mark.parametrize("bad", [
+    "a.1",
+    ("a", (1,)),
+    None,
+    # shaped like a Sentence, with a mark the unchecked walk would read as 2
+    SimpleNamespace(fact="a", suffix=(0,)),
+], ids=["str", "tuple", "none", "duck"])
+def test_queries_refuse_anything_but_a_sentence(worked_example, bad):
+    state_a, state_b = initial_state(1, worked_example), initial_state(2, worked_example)
+    refusal = rf"^expected a Sentence, got {type(bad).__name__}$"
+    with pytest.raises(SentenceError, match=refusal):
+        knows(state_a, bad)
+    with pytest.raises(SentenceError, match=refusal):
+        common_knowledge(state_a, state_b, bad)
+
+
+def test_queries_answer_as_the_checked_walks(worked_example):
+    # knows and common_knowledge walk a Sentence's suffix unchecked; over
+    # told sessions and the limits, at trace depth, they answer as the
+    # public walks that check every letter
+    rng = random.Random(37)
+    facts = worked_example.facts
+    answers = {"knows": set(), "ck": set()}
+    for model in ModelKind:
+        scenario = Scenario.make(facts, worked_example.side_a, worked_example.side_b, model)
+        limit = saturate(scenario)
+        state_a, state_b = initial_state(1, scenario), initial_state(2, scenario)
+        pairs = [(limit.state_a, limit.state_b)]
+        for _ in range(60):
+            pairs.append((state_a, state_b))
+            event = sample_tell(state_a, state_b, facts, rng, 12)
+            if event is None:
+                break
+            state_a, state_b = step(state_a, state_b, event, model)
+        for state_a, state_b in pairs:
+            for _ in range(40):
+                suffix = tuple(rng.choice((1, 2)) for _ in range(rng.randint(0, 12)))
+                sentence = Sentence(rng.choice(facts), suffix)
+                for state in (state_a, state_b):
+                    answer = knows(state, sentence)
+                    assert answer == state.lang_for(sentence.fact).contains(suffix)
+                    answers["knows"].add(answer)
+                answer = common_knowledge(state_a, state_b, sentence)
+                assert answer == (contains_cone(state_a.lang_for(sentence.fact), suffix)
+                                  and contains_cone(state_b.lang_for(sentence.fact), suffix))
+                answers["ck"].add(answer)
+    assert answers == {"knows": {True, False}, "ck": {True, False}}
 
 
 def test_language_equal_cases(worked_example):
